@@ -33,13 +33,13 @@ from ..errors import ConfigurationError, LookupFailedError, MappingNotFoundError
 from ..hashing.hashers import HashFamily, Sha256Hasher
 from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
 from ..obs.trace import (
-    FAILURE_EXHAUSTED,
     NULL_TRACER,
-    AttemptTrace,
+    OUTCOME_HIT,
+    OUTCOME_MISSING,
+    OUTCOME_TIMEOUT,
     PlacementRecord,
-    QueryTrace,
     Tracer,
-    hash_index_of,
+    build_query_trace,
     placement_records,
 )
 from ..topology.routing import Router
@@ -47,18 +47,55 @@ from .guid import GUID, NetworkAddress, guid_like
 from .mapping import MappingEntry, MappingStore
 from .replication import ReplicaSelector, ReplicaSet
 
-#: Lookup attempt outcomes (see :class:`Attempt`).
-OUTCOME_HIT = "hit"
-OUTCOME_MISSING = "missing"
-OUTCOME_TIMEOUT = "timeout"
-
-#: An availability oracle: maps (asn, guid) to one of the outcomes above.
+#: An availability oracle: maps (asn, guid) to one of the lookup attempt
+#: outcomes (``OUTCOME_HIT`` / ``OUTCOME_MISSING`` / ``OUTCOME_TIMEOUT``).
 #: Used to inject BGP-churn staleness and router failures (Fig. 5, §III-D).
 AvailabilityProbe = Callable[[int, GUID], str]
 
 #: Paper-informed retry timeout: WiFi/IP handoff protocols are "on the
 #: order of 0.5-1 second" (§IV-B.2a); we time out a dead replica at 1 s.
 DEFAULT_TIMEOUT_MS = 1000.0
+
+
+def adaptive_timeout_ms(
+    floor_ms: float, rtt_ms: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """The §III-D.3 adaptive timeout: ``max(floor, 2 × expected RTT)``.
+
+    The gateway already estimates each replica's round trip to rank
+    them, so it never declares one dead before twice that estimate (this
+    matters for the pathological high-latency stub ASs of the paper's
+    CDF tail).  A Python float in gives a Python float out; an RTT array
+    gives the element-wise timeout array.
+    """
+    if isinstance(rtt_ms, np.ndarray):
+        return np.maximum(floor_ms, 2.0 * rtt_ms)
+    return max(floor_ms, 2.0 * rtt_ms)
+
+
+def local_branch(
+    engine, source_asn: int, candidates, source_down: bool = False
+) -> Tuple[Union[bool, np.ndarray], float]:
+    """The §III-C local-branch rule: ``(launched, reply_ms)``.
+
+    The querier launches the parallel local request iff ``engine`` keeps
+    local replicas and ``source_asn`` is not itself a global candidate
+    (the walk covers it then).  The reply lands after the intra-AS round
+    trip; when the querier's own AS is down the request vanishes and the
+    adaptive timer expires instead.  ``candidates`` is one lookup's
+    candidate sequence, or a ``(rows, K)`` array for a batch of lookups
+    from one source, in which case ``launched`` is one flag per row.
+    ``engine`` is any of the engines: it supplies ``local_replica``,
+    ``timeout_ms`` and ``router``.
+    """
+    hosted = (np.asarray(candidates) == source_asn).any(axis=-1)
+    launched = engine.local_replica & ~hosted
+    router = engine.router
+    if source_down:
+        return launched, adaptive_timeout_ms(
+            engine.timeout_ms, router.rtt_ms(source_asn, source_asn)
+        )
+    return launched, 2.0 * router.topology.intra_latency(source_asn)
 
 
 @dataclass(frozen=True)
@@ -321,146 +358,71 @@ class DMapResolver:
         ordered = self.selector.order_candidates(source_asn, candidates)
 
         # Parallel local branch: a same-AS copy answers in the intra-AS RTT.
-        local_end: Optional[float] = None
-        local_entry: Optional[MappingEntry] = None
-        local_outcome: Optional[str] = None
         # Churn staleness does not affect the local branch: the querier and
         # the local store share one BGP view (same convention as the DES).
-        if self.local_replica and source_asn not in ordered:
-            if is_down is not None and is_down(source_asn):
-                # The querier's own mapping service is down: the local
-                # request vanishes and its adaptive timer expires instead.
-                local_end = max(
-                    self.timeout_ms,
-                    2.0 * self.router.rtt_ms(source_asn, source_asn),
-                )
-                local_outcome = OUTCOME_TIMEOUT
-            else:
-                local_entry = self.store_at(source_asn).get(guid)
-                local_end = 2.0 * self.router.topology.intra_latency(source_asn)
-                local_outcome = (
-                    OUTCOME_HIT if local_entry is not None else OUTCOME_MISSING
-                )
+        source_down = is_down is not None and is_down(source_asn)
+        launched, local_end = local_branch(self, source_asn, ordered, source_down)
+        local_entry: Optional[MappingEntry] = None
+        local_outcome: Optional[str] = None
+        if not launched:
+            local_end = None
+        elif source_down:
+            local_outcome = OUTCOME_TIMEOUT
+        else:
+            local_entry = self.store_at(source_asn).get(guid)
+            local_outcome = OUTCOME_HIT if local_entry is not None else OUTCOME_MISSING
 
         attempts: List[Attempt] = []
         elapsed = 0.0
+        found: Optional[MappingEntry] = None
         for asn in ordered:
             if local_entry is not None and local_end <= elapsed:
-                # The local reply arrived before this attempt was sent.
-                if tracing:
-                    self._emit_lookup_trace(
-                        guid, source_asn, time, placement, attempts,
-                        local_outcome, local_end, True, source_asn,
-                        local_end, None,
-                    )
-                return LookupResult(
-                    local_entry, local_end, source_asn, tuple(attempts), True
-                )
+                break  # the local reply arrived before this attempt was sent
             rtt = self.router.rtt_ms(source_asn, asn)
             outcome = OUTCOME_HIT
             if probe is not None:
                 outcome = probe(asn, guid)
             if outcome == OUTCOME_HIT:
                 try:
-                    entry = self.store_at(asn).lookup(guid)
+                    found = self.store_at(asn).lookup(guid)
                 except MappingNotFoundError:
                     outcome = OUTCOME_MISSING
                     self._lazy_migrate(guid, asn)
-            if outcome == OUTCOME_HIT:
-                elapsed += rtt
-                attempts.append(Attempt(asn, OUTCOME_HIT, rtt))
-                if local_entry is not None and local_end <= elapsed:
-                    # The parallel local query answered first (§III-C).
-                    if tracing:
-                        self._emit_lookup_trace(
-                            guid, source_asn, time, placement, attempts,
-                            local_outcome, local_end, True, source_asn,
-                            local_end, None,
-                        )
-                    return LookupResult(
-                        local_entry, local_end, source_asn, tuple(attempts), True
-                    )
-                if tracing:
-                    self._emit_lookup_trace(
-                        guid, source_asn, time, placement, attempts,
-                        local_outcome, local_end, False, asn, elapsed, None,
-                    )
-                return LookupResult(entry, elapsed, asn, tuple(attempts), False)
-            if outcome == OUTCOME_MISSING:
-                # The AS answers quickly with "GUID missing": one round trip.
-                elapsed += rtt
-                attempts.append(Attempt(asn, OUTCOME_MISSING, rtt))
-            elif outcome == OUTCOME_TIMEOUT:
-                # Adaptive timeout, mirroring the event simulation: never
-                # below the floor, never below twice the expected RTT.
-                timeout = max(self.timeout_ms, 2.0 * rtt)
-                elapsed += timeout
-                attempts.append(Attempt(asn, OUTCOME_TIMEOUT, timeout))
+            if outcome == OUTCOME_TIMEOUT:
+                cost = adaptive_timeout_ms(self.timeout_ms, rtt)
+            elif outcome in (OUTCOME_HIT, OUTCOME_MISSING):
+                # A hit or a quick "GUID missing" reply: one round trip.
+                cost = rtt
             else:
                 raise ConfigurationError(f"probe returned unknown outcome {outcome!r}")
+            elapsed += cost
+            attempts.append(Attempt(asn, outcome, cost))
+            if found is not None:
+                break
 
-        if local_entry is not None:
-            if tracing:
-                self._emit_lookup_trace(
-                    guid, source_asn, time, placement, attempts,
-                    local_outcome, local_end, True, source_asn, local_end, None,
-                )
-            return LookupResult(
-                local_entry, local_end, source_asn, tuple(attempts), True
-            )
-        if local_end is not None:
-            # The local branch ran but answered "missing" (or its timer
-            # expired): the lookup fails when the later branch ends.
+        # The verdict: the parallel local query wins when it answers no
+        # later than the global hit (§III-C); a lookup with neither fails
+        # when the later branch ends.
+        used_local = local_entry is not None and (found is None or local_end <= elapsed)
+        served_by: Optional[int] = None
+        if used_local:
+            found, served_by, elapsed = local_entry, source_asn, local_end
+        elif found is not None:
+            served_by = attempts[-1].asn
+        elif local_end is not None:
             elapsed = max(elapsed, local_end)
         if tracing:
-            self._emit_lookup_trace(
-                guid, source_asn, time, placement, attempts,
-                local_outcome, local_end, False, None, elapsed,
-                FAILURE_EXHAUSTED,
+            self.tracer.record(
+                build_query_trace(
+                    guid.value, source_asn, time, placement,
+                    ((a.asn, a.outcome, a.cost_ms) for a in attempts),
+                    launched, local_outcome, local_end, used_local,
+                    served_by, elapsed,
+                )
             )
-        raise LookupFailedError(guid, elapsed, len(attempts))
-
-    def _emit_lookup_trace(
-        self,
-        guid: GUID,
-        source_asn: int,
-        issued_at: float,
-        placement: Tuple[PlacementRecord, ...],
-        attempts: Sequence[Attempt],
-        local_outcome: Optional[str],
-        local_end: Optional[float],
-        used_local: bool,
-        served_by: Optional[int],
-        rtt_ms: float,
-        failure_cause: Optional[str],
-    ) -> None:
-        """Build and record the :class:`QueryTrace` for one lookup."""
-        self.tracer.record(
-            QueryTrace(
-                guid_value=guid.value,
-                source_asn=source_asn,
-                issued_at=issued_at,
-                k=len(placement),
-                placement=placement,
-                attempts=tuple(
-                    AttemptTrace(
-                        attempt.asn,
-                        hash_index_of(placement, attempt.asn),
-                        attempt.outcome,
-                        attempt.cost_ms,
-                    )
-                    for attempt in attempts
-                ),
-                local_launched=local_end is not None,
-                local_outcome=local_outcome,
-                local_end_ms=local_end,
-                used_local=used_local,
-                served_by=served_by,
-                rtt_ms=rtt_ms,
-                success=failure_cause is None,
-                failure_cause=failure_cause,
-            )
-        )
+        if served_by is None:
+            raise LookupFailedError(guid, elapsed, len(attempts))
+        return LookupResult(found, elapsed, served_by, tuple(attempts), used_local)
 
     def _lazy_migrate(self, guid: GUID, asn: int) -> None:
         """§III-D.1 lazy pull after a genuine miss at a hosting AS.

@@ -39,23 +39,19 @@ import numpy as np
 
 from ..bgp.table import GlobalPrefixTable
 from ..core.guid import GUID, guid_like
-from ..core.resolver import (
-    DEFAULT_TIMEOUT_MS,
-    OUTCOME_HIT,
-    OUTCOME_MISSING,
-    OUTCOME_TIMEOUT,
-)
+from ..core.resolver import DEFAULT_TIMEOUT_MS, adaptive_timeout_ms, local_branch
 from ..errors import ConfigurationError, DMapError, RoutingError
 from ..hashing.hashers import HashFamily, Sha256Hasher
 from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
 from ..obs.trace import (
-    FAILURE_EXHAUSTED,
     NULL_TRACER,
-    AttemptTrace,
+    OUTCOME_HIT,
+    OUTCOME_MISSING,
+    OUTCOME_TIMEOUT,
     PlacementRecord,
     QueryTrace,
     Tracer,
-    hash_index_of,
+    build_query_trace,
 )
 from ..topology.routing import Router
 from .placement import batch_resolutions
@@ -370,31 +366,6 @@ class FastpathEngine:
         key[cand_idx == src_idx] = 0.0
         return key
 
-    def _local_branch(
-        self,
-        src: int,
-        cand: np.ndarray,
-        local_of_rows: np.ndarray,
-        model=None,
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """(branch_launched, local_entry, local_end) for one group.
-
-        ``branch_launched`` marks rows whose querier fired the parallel
-        local request (§III-C); ``local_entry`` the subset whose local
-        store actually holds the mapping; ``local_end`` when the local
-        reply (or its timeout) lands.
-        """
-        m = len(cand)
-        if not self.local_replica:
-            zeros = np.zeros(m, dtype=bool)
-            return zeros, zeros, 0.0
-        branch = ~(cand == src).any(axis=1)
-        if model is not None and model.is_down(src):
-            local_end = max(self.timeout_ms, 2.0 * self.router.rtt_ms(src, src))
-            return branch, np.zeros(m, dtype=bool), local_end
-        local_end = 2.0 * self.router.topology.intra_latency(src)
-        return branch, branch & (local_of_rows == src), local_end
-
     def _lookup_group(
         self,
         src: int,
@@ -410,9 +381,10 @@ class FastpathEngine:
         key = self._selection_keys(src, cand_idx)
         rtt_all = self.router.rtt_to_many(src, cand.ravel(), strict=False)
         rtt_all = rtt_all.reshape(m, k)
-        branch, local_entry, local_end = self._local_branch(
-            src, cand, batch.local_asns[gidx], model
-        )
+        src_down = model is not None and model.is_down(src)
+        branch, local_end = local_branch(self, src, cand, src_down)
+        # A down querier's local store never answers.
+        local_entry = branch & (batch.local_asns[gidx] == src) & (not src_down)
         rows = np.arange(m)
         tracing = placement_cache is not None
 
@@ -425,12 +397,16 @@ class FastpathEngine:
             rtt = np.where(won, local_end, global_rtt)
             served = np.where(won, src, cand[rows, choice])
             attempts = np.where(won & (local_end <= 0.0), 0, 1)
-            result = (rtt, served, won, attempts, np.ones(m, dtype=bool))
+            success = np.ones(m, dtype=bool)
+            result = (rtt, served, won, attempts, success)
             if not tracing:
                 return result
-            traces = self._group_traces_converged(
-                src, batch, gidx, cand, choice, global_rtt, branch,
-                local_entry, local_end, won, rtt, served,
+            # The walk lane's trace shape with one executed hit per row.
+            traces = self._group_traces(
+                src, batch, gidx, cand[rows, choice][:, None],
+                np.full((m, 1), _HIT, dtype=np.int8), global_rtt[:, None],
+                np.ones((m, 1), dtype=bool), np.zeros((m, 1)), won, branch,
+                local_entry, local_end, src_down, rtt, served, success,
                 issued_at, placement_cache,
             )
             return result + (traces,)
@@ -446,7 +422,7 @@ class FastpathEngine:
         for j in range(1, k):
             dup[:, j] = (s_cand[:, :j] == s_cand[:, j : j + 1]).any(axis=1)
         cost = np.where(
-            s_out == _TIMEOUT, np.maximum(self.timeout_ms, 2.0 * s_rtt), s_rtt
+            s_out == _TIMEOUT, adaptive_timeout_ms(self.timeout_ms, s_rtt), s_rtt
         )
         cost = np.where(dup, 0.0, cost)
         hit = (~dup) & (s_out == _HIT)
@@ -481,9 +457,9 @@ class FastpathEngine:
         result = (rtt, served, won, attempts, success)
         if not tracing:
             return result
-        traces = self._group_traces_walk(
+        traces = self._group_traces(
             src, batch, gidx, s_cand, s_out, cost, executed, elapsed_before,
-            won, branch, local_entry, local_end, rtt, served, success, model,
+            won, branch, local_entry, local_end, src_down, rtt, served, success,
             issued_at, placement_cache,
         )
         return result + (traces,)
@@ -501,73 +477,7 @@ class FastpathEngine:
             cache[guid_index] = placement
         return placement
 
-    def _group_traces_converged(
-        self,
-        src: int,
-        batch: GuidBatch,
-        gidx: np.ndarray,
-        cand: np.ndarray,
-        choice: np.ndarray,
-        global_rtt: np.ndarray,
-        branch: np.ndarray,
-        local_entry: np.ndarray,
-        local_end: float,
-        won: np.ndarray,
-        rtt: np.ndarray,
-        served: np.ndarray,
-        issued_at: np.ndarray,
-        placement_cache: Dict[int, Tuple[PlacementRecord, ...]],
-    ) -> List[QueryTrace]:
-        """Traces for the model-free fast path (one hit, plus the race).
-
-        Mirrors the scalar walk exactly: the best-ranked replica's hit is
-        the only attempt, and it is part of the trace unless the local
-        reply landed before the walk could even start (``local_end <= 0``).
-        """
-        traces: List[QueryTrace] = []
-        for r in range(len(gidx)):
-            gi = int(gidx[r])
-            placement = self._placement_of(batch, gi, placement_cache)
-            launched = bool(branch[r])
-            won_r = bool(won[r])
-            if won_r and local_end <= 0.0:
-                attempt_records: Tuple[AttemptTrace, ...] = ()
-            else:
-                asn = int(cand[r, choice[r]])
-                attempt_records = (
-                    AttemptTrace(
-                        asn,
-                        hash_index_of(placement, asn),
-                        OUTCOME_HIT,
-                        float(global_rtt[r]),
-                    ),
-                )
-            local_outcome = None
-            if launched:
-                local_outcome = (
-                    OUTCOME_HIT if bool(local_entry[r]) else OUTCOME_MISSING
-                )
-            traces.append(
-                QueryTrace(
-                    guid_value=batch.guids[gi].value,
-                    source_asn=src,
-                    issued_at=float(issued_at[r]),
-                    k=len(placement),
-                    placement=placement,
-                    attempts=attempt_records,
-                    local_launched=launched,
-                    local_outcome=local_outcome,
-                    local_end_ms=float(local_end) if launched else None,
-                    used_local=won_r,
-                    served_by=int(served[r]),
-                    rtt_ms=float(rtt[r]),
-                    success=True,
-                    failure_cause=None,
-                )
-            )
-        return traces
-
-    def _group_traces_walk(
+    def _group_traces(
         self,
         src: int,
         batch: GuidBatch,
@@ -581,14 +491,14 @@ class FastpathEngine:
         branch: np.ndarray,
         local_entry: np.ndarray,
         local_end: float,
+        src_down: bool,
         rtt: np.ndarray,
         served: np.ndarray,
         success: np.ndarray,
-        model,
         issued_at: np.ndarray,
         placement_cache: Dict[int, Tuple[PlacementRecord, ...]],
     ) -> List[QueryTrace]:
-        """Traces for the availability-model walk.
+        """Per-row traces from the walk-ordered attempt planes.
 
         An attempt made it into the scalar trace iff the walk issued it:
         non-duplicate, at or before the first hit, and — when the local
@@ -598,26 +508,12 @@ class FastpathEngine:
         scalar resolver's record for record.
         """
         m, k = s_cand.shape
-        src_down = (
-            self.local_replica and model is not None and model.is_down(src)
-        )
         traces: List[QueryTrace] = []
         for r in range(m):
             gi = int(gidx[r])
-            placement = self._placement_of(batch, gi, placement_cache)
             exec_mask = executed[r]
             if bool(won[r]):
                 exec_mask = exec_mask & (elapsed_before[r] < local_end)
-            attempt_records = tuple(
-                AttemptTrace(
-                    int(s_cand[r, j]),
-                    hash_index_of(placement, int(s_cand[r, j])),
-                    _CODE_OUTCOMES[int(s_out[r, j])],
-                    float(cost[r, j]),
-                )
-                for j in range(k)
-                if exec_mask[j]
-            )
             launched = bool(branch[r])
             local_outcome = None
             if launched:
@@ -627,23 +523,19 @@ class FastpathEngine:
                     local_outcome = OUTCOME_HIT
                 else:
                     local_outcome = OUTCOME_MISSING
-            ok = bool(success[r])
             traces.append(
-                QueryTrace(
-                    guid_value=batch.guids[gi].value,
-                    source_asn=src,
-                    issued_at=float(issued_at[r]),
-                    k=len(placement),
-                    placement=placement,
-                    attempts=attempt_records,
-                    local_launched=launched,
-                    local_outcome=local_outcome,
-                    local_end_ms=float(local_end) if launched else None,
-                    used_local=bool(won[r]),
-                    served_by=int(served[r]) if ok else None,
-                    rtt_ms=float(rtt[r]),
-                    success=ok,
-                    failure_cause=None if ok else FAILURE_EXHAUSTED,
+                build_query_trace(
+                    batch.guids[gi].value, src, float(issued_at[r]),
+                    self._placement_of(batch, gi, placement_cache),
+                    (
+                        (int(s_cand[r, j]), _CODE_OUTCOMES[int(s_out[r, j])],
+                         float(cost[r, j]))
+                        for j in range(k)
+                        if exec_mask[j]
+                    ),
+                    launched, local_outcome,
+                    float(local_end) if launched else None, won[r],
+                    int(served[r]) if success[r] else None, float(rtt[r]),
                 )
             )
         return traces

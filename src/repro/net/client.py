@@ -31,22 +31,20 @@ import asyncio
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.guid import GUID, NetworkAddress, guid_like
-from ..core.resolver import DEFAULT_TIMEOUT_MS
+from ..core.resolver import DEFAULT_TIMEOUT_MS, adaptive_timeout_ms
 from ..errors import ClusterError, LookupFailedError, WriteFailedError
 from ..obs.counters import MetricsRegistry
 from ..obs.trace import (
-    FAILURE_EXHAUSTED,
     NULL_TRACER,
     OUTCOME_HIT,
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
     AttemptTrace,
-    QueryTrace,
     Tracer,
-    hash_index_of,
+    build_query_trace,
     placement_records,
 )
 from .node import Addr
@@ -121,7 +119,7 @@ def attempt_schedule(
     input.
     """
     plans: List[AttemptPlan] = []
-    timeout = max(config.timeout_floor_ms, 2.0 * rtt_ms)
+    timeout = adaptive_timeout_ms(config.timeout_floor_ms, rtt_ms)
     for attempt in range(config.max_attempts):
         if attempt + 1 >= config.max_attempts:
             backoff = 0.0
@@ -187,6 +185,22 @@ class _ClientProtocol(asyncio.DatagramProtocol):
         # ICMP port-unreachable from a killed node's port: the probe's
         # timeout handles it, exactly like a silently dead replica.
         self.client._count("net.client.socket_errors")
+
+
+def _distinct_replicas(chains: Iterable[int]) -> List[Tuple[int, int]]:
+    """``(asn, k_index)`` per queryable host, in replica-chain order.
+
+    Duplicate chains landing in one AS are a single host; it keeps the
+    first chain index that placed it.
+    """
+    replicas: List[Tuple[int, int]] = []
+    seen = set()
+    for index, asn in enumerate(chains):
+        asn = int(asn)
+        if asn not in seen:
+            seen.add(asn)
+            replicas.append((asn, index))
+    return replicas
 
 
 class DMapClient:
@@ -295,14 +309,8 @@ class DMapClient:
         if tracing:
             chains: Sequence[int] = [record.asn for record in placement]
         else:
-            chains = [int(a) for a in self.placer.hosting_asns(guid)]
-        # Duplicate chains landing in one AS are a single queryable host.
-        replicas: List[Tuple[int, int]] = []
-        seen = set()
-        for index, asn in enumerate(chains):
-            if asn not in seen:
-                seen.add(asn)
-                replicas.append((asn, index))
+            chains = self.placer.hosting_asns(guid)
+        replicas = _distinct_replicas(chains)
 
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -327,22 +335,27 @@ class DMapClient:
 
         rtt_ms = self.shaper.virtual_ms(loop.time() - started)
         self._count("net.client.lookups")
+        if tracing:
+            # The live client runs no §III-C local branch (the cluster
+            # has no node at arbitrary querier ASs).
+            self.tracer.record(
+                build_query_trace(
+                    guid.value, source_asn, issued_at, placement,
+                    ((a.asn, a.outcome, a.cost_ms) for a in attempts_log),
+                    local_launched=False,
+                    local_outcome=None,
+                    local_end_ms=None,
+                    used_local=False,
+                    served_by=None if winner is None else winner.served_by,
+                    rtt_ms=rtt_ms,
+                )
+            )
         if winner is None:
             self._count("net.client.lookup_failures")
-            if tracing:
-                self._emit_trace(
-                    guid, source_asn, issued_at, placement, attempts_log,
-                    None, rtt_ms, FAILURE_EXHAUSTED,
-                )
             raise LookupFailedError(guid, rtt_ms, len(attempts_log))
         self.registry.histogram(
             "net.client.rtt_ms", "wire lookup RTT (virtual ms)"
         ).observe(rtt_ms)
-        if tracing:
-            self._emit_trace(
-                guid, source_asn, issued_at, placement, attempts_log,
-                winner.served_by, rtt_ms, None,
-            )
         return LiveLookupResult(
             guid_value=guid.value,
             locators=winner.locators,
@@ -354,6 +367,53 @@ class DMapClient:
             trace_id=trace_id,
         )
 
+    async def _exchange(
+        self,
+        asn: int,
+        k_index: int,
+        trace_id: int,
+        source_asn: int,
+        frame_for: Callable[[int], Frame],
+        timeout_counter: str,
+        attempts_log: Optional[List[AttemptTrace]] = None,
+    ) -> Optional[Tuple[ResponseFrame, float, float]]:
+        """One replica's retry schedule (§III-D.3), shared by reads and writes.
+
+        Sends ``frame_for(attempt)`` and waits out each attempt's adaptive
+        timeout, backing off between attempts.  Returns the first reply
+        with the loop times the schedule started and its attempt was
+        sent, or ``None`` when every attempt timed out.  Timeouts bump ``timeout_counter`` and, for
+        reads, are logged to ``attempts_log``.
+        """
+        loop = asyncio.get_running_loop()
+        rtt = self.shaper.rtt_ms(source_asn, asn)
+        plans = attempt_schedule(self.config, rtt, trace_id, k_index)
+        key = (trace_id, k_index)
+        started = loop.time()
+        for attempt, plan in enumerate(plans):
+            future: "asyncio.Future[ResponseFrame]" = loop.create_future()
+            self._pending[key] = future
+            sent = loop.time()
+            self._send(frame_for(attempt), asn)
+            try:
+                response = await asyncio.wait_for(
+                    future, timeout=self.shaper.wire_s(plan.timeout_ms)
+                )
+            except asyncio.TimeoutError:
+                if attempts_log is not None:
+                    attempts_log.append(
+                        AttemptTrace(asn, k_index, OUTCOME_TIMEOUT, plan.timeout_ms)
+                    )
+                self._count(timeout_counter, label=asn)
+                if plan.backoff_ms > 0.0:
+                    await asyncio.sleep(self.shaper.wire_s(plan.backoff_ms))
+                continue
+            finally:
+                if self._pending.get(key) is future:
+                    del self._pending[key]
+            return response, started, sent
+        return None
+
     async def _probe(
         self,
         guid_value: int,
@@ -363,87 +423,32 @@ class DMapClient:
         source_asn: int,
         attempts_log: List[AttemptTrace],
     ) -> Optional[ResponseFrame]:
-        """One replica's full retry schedule; ``None`` = gave up."""
-        loop = asyncio.get_running_loop()
-        rtt = self.shaper.rtt_ms(source_asn, asn)
-        plans = attempt_schedule(self.config, rtt, trace_id, k_index)
-        key = (trace_id, k_index)
-        for attempt, plan in enumerate(plans):
-            future: "asyncio.Future[ResponseFrame]" = loop.create_future()
-            self._pending[key] = future
-            sent = loop.time()
-            self._send(
-                LookupFrame(
-                    trace_id=trace_id,
-                    guid_value=guid_value,
-                    source_asn=source_asn,
-                    k_index=min(k_index, 0xFE),
-                    hop_budget=self.config.hop_budget,
-                    attempt=attempt,
-                ),
-                asn,
-            )
-            try:
-                response = await asyncio.wait_for(
-                    future, timeout=self.shaper.wire_s(plan.timeout_ms)
-                )
-            except asyncio.TimeoutError:
-                attempts_log.append(
-                    AttemptTrace(asn, k_index, OUTCOME_TIMEOUT, plan.timeout_ms)
-                )
-                self._count("net.client.attempt_timeouts", label=asn)
-                if plan.backoff_ms > 0.0:
-                    await asyncio.sleep(self.shaper.wire_s(plan.backoff_ms))
-                continue
-            finally:
-                if self._pending.get(key) is future:
-                    del self._pending[key]
-            cost_ms = self.shaper.virtual_ms(loop.time() - sent)
-            if response.status == STATUS_OK:
-                attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_HIT, cost_ms))
-                return response
-            # An authoritative "GUID missing": retrying cannot help.
-            attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_MISSING, cost_ms))
-            self._count("net.client.replica_misses", label=asn)
-            return None
-        return None
-
-    def _emit_trace(
-        self,
-        guid: GUID,
-        source_asn: int,
-        issued_at: float,
-        placement,
-        attempts_log: List[AttemptTrace],
-        served_by: Optional[int],
-        rtt_ms: float,
-        failure_cause: Optional[str],
-    ) -> None:
-        self.tracer.record(
-            QueryTrace(
-                guid_value=guid.value,
+        """One replica's lookup; ``None`` = gave up or "GUID missing"."""
+        hop_budget = self.config.hop_budget
+        reply = await self._exchange(
+            asn, k_index, trace_id, source_asn,
+            lambda attempt: LookupFrame(
+                trace_id=trace_id,
+                guid_value=guid_value,
                 source_asn=source_asn,
-                issued_at=issued_at,
-                k=len(placement),
-                placement=placement,
-                attempts=tuple(
-                    AttemptTrace(
-                        a.asn, hash_index_of(placement, a.asn), a.outcome, a.cost_ms
-                    )
-                    for a in attempts_log
-                ),
-                # The live client runs no §III-C local branch (the
-                # cluster has no node at arbitrary querier ASs).
-                local_launched=False,
-                local_outcome=None,
-                local_end_ms=None,
-                used_local=False,
-                served_by=served_by,
-                rtt_ms=rtt_ms,
-                success=failure_cause is None,
-                failure_cause=failure_cause,
-            )
+                k_index=min(k_index, 0xFE),
+                hop_budget=hop_budget,
+                attempt=attempt,
+            ),
+            "net.client.attempt_timeouts",
+            attempts_log,
         )
+        if reply is None:
+            return None
+        response, _, sent = reply
+        cost_ms = self.shaper.virtual_ms(asyncio.get_running_loop().time() - sent)
+        if response.status == STATUS_OK:
+            attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_HIT, cost_ms))
+            return response
+        # An authoritative "GUID missing": retrying cannot help.
+        attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_MISSING, cost_ms))
+        self._count("net.client.replica_misses", label=asn)
+        return None
 
     # ------------------------------------------------------------------
     # Write path
@@ -483,13 +488,7 @@ class DMapClient:
         guid = guid_like(guid)
         trace_id = self._next_trace_id()
         locator_values = tuple(int(loc) for loc in locators)
-        replicas: List[Tuple[int, int]] = []
-        seen = set()
-        for index, asn in enumerate(self.placer.hosting_asns(guid)):
-            asn = int(asn)
-            if asn not in seen:
-                seen.add(asn)
-                replicas.append((asn, index))
+        replicas = _distinct_replicas(self.placer.hosting_asns(guid))
         results = await asyncio.gather(
             *(
                 self._write_one(
@@ -524,42 +523,25 @@ class DMapClient:
         version: int,
         timestamp: float,
     ) -> Optional[float]:
-        """One replica write with the same retry schedule as reads."""
-        loop = asyncio.get_running_loop()
-        rtt = self.shaper.rtt_ms(source_asn, asn)
-        plans = attempt_schedule(self.config, rtt, trace_id, k_index)
-        key = (trace_id, k_index)
-        started = loop.time()
-        for attempt, plan in enumerate(plans):
-            future: "asyncio.Future[ResponseFrame]" = loop.create_future()
-            self._pending[key] = future
-            self._send(
-                WriteFrame(
-                    trace_id=trace_id,
-                    guid_value=guid_value,
-                    source_asn=source_asn,
-                    k_index=min(k_index, 0xFE),
-                    attempt=attempt,
-                    ftype=ftype,
-                    version=version,
-                    timestamp=timestamp,
-                    locators=locators,
-                ),
-                asn,
-            )
-            try:
-                response = await asyncio.wait_for(
-                    future, timeout=self.shaper.wire_s(plan.timeout_ms)
-                )
-            except asyncio.TimeoutError:
-                self._count("net.client.write_timeouts", label=asn)
-                if plan.backoff_ms > 0.0:
-                    await asyncio.sleep(self.shaper.wire_s(plan.backoff_ms))
-                continue
-            finally:
-                if self._pending.get(key) is future:
-                    del self._pending[key]
-            if response.status == STATUS_OK and response.request_type == ftype:
-                return self.shaper.virtual_ms(loop.time() - started)
+        """One replica write; its acknowledgement time, or ``None``."""
+        reply = await self._exchange(
+            asn, k_index, trace_id, source_asn,
+            lambda attempt: WriteFrame(
+                trace_id=trace_id,
+                guid_value=guid_value,
+                source_asn=source_asn,
+                k_index=min(k_index, 0xFE),
+                attempt=attempt,
+                ftype=ftype,
+                version=version,
+                timestamp=timestamp,
+                locators=locators,
+            ),
+            "net.client.write_timeouts",
+        )
+        if reply is None:
             return None
+        response, started, _ = reply
+        if response.status == STATUS_OK and response.request_type == ftype:
+            return self.shaper.virtual_ms(asyncio.get_running_loop().time() - started)
         return None

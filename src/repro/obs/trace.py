@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-#: Local-branch / attempt outcome strings, shared with
-#: :mod:`repro.core.resolver` (kept literal here to avoid an import
-#: cycle: the resolver imports this module).
+#: Local-branch / attempt outcome strings, the one definition every
+#: engine uses (:mod:`repro.core.resolver` re-exports them).
 OUTCOME_HIT = "hit"
 OUTCOME_MISSING = "missing"
 OUTCOME_TIMEOUT = "timeout"
@@ -194,6 +193,48 @@ def hash_index_of(placement: Tuple[PlacementRecord, ...], asn: int) -> int:
         if record.asn == asn:
             return index
     return -1
+
+
+def build_query_trace(
+    guid_value: int,
+    source_asn: int,
+    issued_at: float,
+    placement: Tuple[PlacementRecord, ...],
+    attempts: Iterable[Tuple[int, str, float]],
+    local_launched: bool,
+    local_outcome: Optional[str],
+    local_end_ms: Optional[float],
+    used_local: bool,
+    served_by: Optional[int],
+    rtt_ms: float,
+) -> QueryTrace:
+    """The one :class:`QueryTrace` constructor every engine emits through.
+
+    ``attempts`` are the walk's ``(asn, outcome, cost_ms)`` contacts in
+    issue order; ``served_by`` is ``None`` exactly when the lookup
+    failed.  ``k``, each attempt's ``hash_index``, ``success`` and
+    ``failure_cause`` follow from those inputs.
+    """
+    success = served_by is not None
+    return QueryTrace(
+        guid_value=guid_value,
+        source_asn=source_asn,
+        issued_at=issued_at,
+        k=len(placement),
+        placement=placement,
+        attempts=tuple(
+            AttemptTrace(asn, hash_index_of(placement, asn), outcome, cost_ms)
+            for asn, outcome, cost_ms in attempts
+        ),
+        local_launched=bool(local_launched),
+        local_outcome=local_outcome,
+        local_end_ms=local_end_ms,
+        used_local=bool(used_local),
+        served_by=served_by,
+        rtt_ms=rtt_ms,
+        success=success,
+        failure_cause=None if success else FAILURE_EXHAUSTED,
+    )
 
 
 class Tracer:

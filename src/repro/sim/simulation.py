@@ -19,21 +19,18 @@ from ..bgp.table import GlobalPrefixTable
 from ..core.guid import GUID, NetworkAddress, guid_like
 from ..core.mapping import MappingEntry
 from ..core.replication import ReplicaSelector
-from ..core.resolver import DEFAULT_TIMEOUT_MS
+from ..core.resolver import DEFAULT_TIMEOUT_MS, adaptive_timeout_ms, local_branch
 from ..errors import ConfigurationError, SimulationError
 from ..hashing.hashers import HashFamily, Sha256Hasher
 from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
 from ..obs.trace import (
-    FAILURE_EXHAUSTED,
     NULL_TRACER,
     OUTCOME_HIT,
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
-    AttemptTrace,
     PlacementRecord,
-    QueryTrace,
     Tracer,
-    hash_index_of,
+    build_query_trace,
     placement_records,
 )
 from ..topology.graph import ASTopology
@@ -142,7 +139,7 @@ class _PendingLookup:
         # attempt — DES traces are forensic, not byte-equality oracles.
         self.tracing = simulation.tracer.enabled
         self.placement: Tuple[PlacementRecord, ...] = ()
-        self.trace_log: List[AttemptTrace] = []
+        self.trace_log: List[Tuple[int, str, float]] = []
         self.local_launched = False
         self.local_outcome: Optional[str] = None
         self.local_end_ms: Optional[float] = None
@@ -168,11 +165,9 @@ class _PendingLookup:
             payload={"guid": self.guid, "is_local": False},
             size_bits=REQUEST_SIZE_BITS,
         )
-        # Adaptive timeout: the gateway already estimates the response
-        # time to rank replicas, so it won't declare a replica dead before
-        # twice its expected round trip (matters for the pathological
-        # high-latency stub ASs driving the paper's CDF tail).
-        timeout = max(sim.timeout_ms, 2.0 * sim.router.rtt_ms(self.source_asn, target))
+        timeout = adaptive_timeout_ms(
+            sim.timeout_ms, sim.router.rtt_ms(self.source_asn, target)
+        )
         self.timeout_handle = sim.simulator.schedule(
             timeout, lambda: self._on_timeout(request_id)
         )
@@ -184,15 +179,11 @@ class _PendingLookup:
         if self.tracing:
             # The timer fired ``timeout`` ms after the send, so the cost
             # is exactly the adaptive timeout charged for this attempt.
-            target = self.candidates[self.next_candidate - 1]
-            self.trace_log.append(
-                AttemptTrace(
-                    target,
-                    hash_index_of(self.placement, target),
-                    OUTCOME_TIMEOUT,
-                    self.simulation.simulator.now - self.attempt_sent_at,
-                )
-            )
+            self.trace_log.append((
+                self.candidates[self.next_candidate - 1],
+                OUTCOME_TIMEOUT,
+                self.simulation.simulator.now - self.attempt_sent_at,
+            ))
         self.try_next(request_id)
 
     def on_response(self, message: Message) -> None:
@@ -209,16 +200,13 @@ class _PendingLookup:
                 self.local_outcome = OUTCOME_HIT if hit else OUTCOME_MISSING
                 self.local_end_ms = now - self.issued_at
             else:
-                self.trace_log.append(
-                    AttemptTrace(
-                        message.src_asn,
-                        hash_index_of(self.placement, message.src_asn),
-                        OUTCOME_HIT if hit else OUTCOME_MISSING,
-                        now - self.attempt_sent_at,
-                    )
-                )
+                self.trace_log.append((
+                    message.src_asn,
+                    OUTCOME_HIT if hit else OUTCOME_MISSING,
+                    now - self.attempt_sent_at,
+                ))
         if hit:
-            self._complete(message.src_asn, used_local=is_local)
+            self._finish(message.src_asn, used_local=is_local)
             return
         # LOOKUP_MISS
         if is_local:
@@ -250,73 +238,42 @@ class _PendingLookup:
         if self.next_candidate >= len(self.candidates) and self.timeout_handle is None:
             self._maybe_fail()
 
-    def _complete(self, served_by: int, used_local: bool) -> None:
+    def _maybe_fail(self) -> None:
+        if not (self.done or self.local_pending):
+            self._finish(None, used_local=False)
+
+    def _finish(self, served_by: Optional[int], used_local: bool) -> None:
+        """Record the verdict; ``served_by`` is ``None`` on failure."""
         self.done = True
         if self.timeout_handle is not None:
             self.timeout_handle.cancel()
         if self.local_timeout_handle is not None:
             self.local_timeout_handle.cancel()
         sim = self.simulation
+        now = sim.simulator.now
+        success = served_by is not None
         sim.metrics.add(
             QueryRecord(
                 guid_value=self.guid.value,
                 source_asn=self.source_asn,
                 issued_at=self.issued_at,
-                completed_at=sim.simulator.now,
+                completed_at=now,
                 served_by=served_by,
-                attempts=max(self.attempts, 1),
+                # A local hit before any global send still counts as one.
+                attempts=max(self.attempts, 1) if success else self.attempts,
                 used_local=used_local,
-                success=True,
+                success=success,
             )
         )
         if self.tracing:
-            self._emit_trace(served_by, used_local, None)
-
-    def _maybe_fail(self) -> None:
-        if self.done or self.local_pending:
-            return
-        self.done = True
-        sim = self.simulation
-        sim.metrics.add(
-            QueryRecord(
-                guid_value=self.guid.value,
-                source_asn=self.source_asn,
-                issued_at=self.issued_at,
-                completed_at=sim.simulator.now,
-                served_by=None,
-                attempts=self.attempts,
-                used_local=False,
-                success=False,
+            sim.tracer.record(
+                build_query_trace(
+                    self.guid.value, self.source_asn, self.issued_at,
+                    self.placement, self.trace_log, self.local_launched,
+                    self.local_outcome, self.local_end_ms, used_local,
+                    served_by, now - self.issued_at,
+                )
             )
-        )
-        if self.tracing:
-            self._emit_trace(None, False, FAILURE_EXHAUSTED)
-
-    def _emit_trace(
-        self,
-        served_by: Optional[int],
-        used_local: bool,
-        failure_cause: Optional[str],
-    ) -> None:
-        sim = self.simulation
-        sim.tracer.record(
-            QueryTrace(
-                guid_value=self.guid.value,
-                source_asn=self.source_asn,
-                issued_at=self.issued_at,
-                k=len(self.placement),
-                placement=self.placement,
-                attempts=tuple(self.trace_log),
-                local_launched=self.local_launched,
-                local_outcome=self.local_outcome,
-                local_end_ms=self.local_end_ms,
-                used_local=used_local,
-                served_by=served_by,
-                rtt_ms=sim.simulator.now - self.issued_at,
-                success=failure_cause is None,
-                failure_cause=failure_cause,
-            )
-        )
 
 
 class DMapSimulation:
@@ -542,7 +499,12 @@ class DMapSimulation:
         pending = _PendingLookup(self, guid, source_asn, now, candidates)
         pending.placement = placement
         self._pending[request_id] = pending
-        if self.local_replica and source_asn not in candidates:
+        # The DES delivers the local reply through the network; the rule's
+        # down-querier verdict arms the timer that guards the request.
+        launched, local_timeout = local_branch(
+            self, source_asn, candidates, source_down=True
+        )
+        if launched:
             pending.local_pending = True
             pending.local_launched = True
             self.network.send(
@@ -553,14 +515,8 @@ class DMapSimulation:
                 payload={"guid": guid, "is_local": True},
                 size_bits=REQUEST_SIZE_BITS,
             )
-            # Guard the local branch with the same adaptive timeout the
-            # global walk uses: if the querier's own AS is down the local
-            # request vanishes, and without this timer the lookup would
-            # stay pending forever.
-            local_timeout = max(
-                self.timeout_ms,
-                2.0 * self.router.rtt_ms(source_asn, source_asn),
-            )
+            # If the querier's own AS is down the local request vanishes;
+            # without this timer the lookup would stay pending forever.
             pending.local_timeout_handle = self.simulator.schedule(
                 local_timeout, pending._on_local_timeout
             )
