@@ -37,7 +37,6 @@ from ..obs.trace import (
     OUTCOME_HIT,
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
-    PlacementRecord,
     Tracer,
     build_query_trace,
     placement_records,
@@ -173,10 +172,9 @@ class DMapResolver:
     timeout_ms:
         Floor for the adaptive replica timeout (§III-D.3).
     placer:
-        Override the placement scheme: anything exposing ``k``,
-        ``resolve_one``, ``resolve_all`` and ``hosting_asns`` (e.g. the
-        §VII variants in :mod:`repro.hashing.asnum_placer`).  Defaults to
-        address-space hashing (Algorithm 1).
+        Override the placement scheme with a §VII roster placer from
+        :mod:`repro.hashing.asnum_placer`.  Defaults to address-space
+        hashing (Algorithm 1, :class:`~repro.hashing.rehash.GuidPlacer`).
     tracer:
         Per-query trace sink (:mod:`repro.obs`).  Defaults to the shared
         no-op tracer, which the lookup path checks once per call.
@@ -346,16 +344,10 @@ class DMapResolver:
             local miss (or local timeout, when the source AS is down).
         """
         guid = guid_like(guid)
-        tracing = self.tracer.enabled
-        placement: Tuple[PlacementRecord, ...] = ()
-        if tracing:
-            # The placement records carry the Algorithm 1 provenance the
-            # trace wants; their ASNs are exactly ``hosting_asns``.
-            placement = placement_records(self.placer, guid)
-            candidates: Sequence[int] = [record.asn for record in placement]
-        else:
-            candidates = self.placer.hosting_asns(guid)
-        ordered = self.selector.order_candidates(source_asn, candidates)
+        resolutions = self.placer.resolve_all(guid)
+        ordered = self.selector.order_candidates(
+            source_asn, [res.asn for res in resolutions]
+        )
 
         # Parallel local branch: a same-AS copy answers in the intra-AS RTT.
         # Churn staleness does not affect the local branch: the querier and
@@ -411,10 +403,10 @@ class DMapResolver:
             served_by = attempts[-1].asn
         elif local_end is not None:
             elapsed = max(elapsed, local_end)
-        if tracing:
+        if self.tracer.enabled:
             self.tracer.record(
                 build_query_trace(
-                    guid.value, source_asn, time, placement,
+                    guid.value, source_asn, time, placement_records(resolutions),
                     ((a.asn, a.outcome, a.cost_ms) for a in attempts),
                     launched, local_outcome, local_end, used_local,
                     served_by, elapsed,

@@ -65,16 +65,16 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["scalar", "fastpath", "bulk"],
-        help="execution engine for fig4/fig6 (fig4: scalar|fastpath, "
-        "default scalar; fig6: scalar|bulk|fastpath, default bulk)",
+        choices=["scalar", "fastpath"],
+        help="execution engine for fig4/fig6 (default: scalar for fig4, "
+        "fastpath for fig6)",
     )
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=None,
         help="worker processes for the fastpath shard runner (fig4 only; "
-        "0 = all cores)",
+        "default 1, 0 = all cores)",
     )
     parser.add_argument(
         "--trace",
@@ -85,36 +85,36 @@ def main(argv: Optional[list] = None) -> int:
         "'python -m repro.obs summarize-traces PATH'",
     )
     args = parser.parse_args(argv)
+    name = ALIASES.get(args.experiment, args.experiment)
+    if name != "all" and name not in EXPERIMENTS:
+        parser.error(f"unknown experiment {args.experiment!r}")
+    if args.trace is not None and name != "fig4":
+        parser.error("--trace is only supported by fig4")
+    if args.jobs is not None and name != "fig4":
+        parser.error("--jobs is only supported by fig4")
+    if args.engine is not None and name not in ("fig4", "fig6"):
+        parser.error(f"--engine is not supported by {name!r}")
     if args.jobs == 0:
         from ..fastpath.runner import default_jobs
 
         args.jobs = default_jobs()
-
-    name = ALIASES.get(args.experiment, args.experiment)
-    if args.trace is not None and name != "fig4":
-        parser.error("--trace is only supported by fig4")
     if name == "all":
         for key in EXPERIMENTS:
             print(f"=== {key} ===")
             EXPERIMENTS[key](args.scale)
             print()
         return 0
-    runner = EXPERIMENTS.get(name)
-    if runner is None:
-        parser.error(f"unknown experiment {args.experiment!r}")
     if name == "fig4":
         fig4_response_time.main(
             args.scale,
             engine=args.engine or "scalar",
-            n_jobs=args.jobs,
+            n_jobs=args.jobs or 1,
             trace_path=args.trace,
         )
     elif name == "fig6":
-        fig6_load.main(args.scale, engine=args.engine or "bulk")
+        fig6_load.main(args.scale, engine=args.engine or "fastpath")
     else:
-        if args.engine is not None:
-            parser.error(f"--engine is not supported by {name!r}")
-        runner(args.scale)
+        EXPERIMENTS[name](args.scale)
     return 0
 
 

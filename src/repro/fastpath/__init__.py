@@ -6,9 +6,10 @@ a time through Python; at paper scale that loop dominates wall-clock.
 This package executes the *same protocol arithmetic* as whole numpy
 arrays:
 
-* :mod:`repro.fastpath.placement` — batch Algorithm 1 (GUID hashing,
-  interval-index LPM, vectorized IP-hole rehash, deputy fallback) plus the
-  §VII AS-number / weighted placement variants;
+* :mod:`repro.fastpath.placement` — :func:`resolve_batch`, the one
+  vectorized Algorithm 1 (GUID hashing, interval-index LPM, vectorized
+  IP-hole rehash, deputy fallback) that the engine, Fig. 6 and the
+  rehash probe all run, plus the §VII AS-number / weighted variants;
 * :mod:`repro.fastpath.engine` — :class:`FastpathEngine`: lookups grouped
   by source AS, replica selection as a fancy-indexed min-of-K over one
   cached Dijkstra row, with the §III-C local-replica race and §III-D.3
@@ -23,12 +24,12 @@ in ``tests/test_fastpath.py`` and continuously by the
 """
 
 from .engine import BatchLookupResult, FastpathEngine, FastpathUnsupportedError
-from .placement import batch_hosting_asns, resolve_batch
+from .placement import batch_resolutions, resolve_batch
 
 __all__ = [
     "BatchLookupResult",
     "FastpathEngine",
     "FastpathUnsupportedError",
-    "batch_hosting_asns",
+    "batch_resolutions",
     "resolve_batch",
 ]

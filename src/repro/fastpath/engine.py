@@ -110,14 +110,12 @@ class GuidBatch:
     guids: List[GUID]
     placements: np.ndarray
     local_asns: np.ndarray
-    hash_attempts: Optional[np.ndarray] = None
-    via_deputy: Optional[np.ndarray] = None
+    hash_attempts: np.ndarray
+    via_deputy: np.ndarray
 
     def placement_records(self, guid_index: int) -> Tuple[PlacementRecord, ...]:
         """The trace-layer placement view of one indexed GUID."""
         asns = self.placements[guid_index]
-        if self.hash_attempts is None or self.via_deputy is None:
-            return tuple(PlacementRecord(int(asn), 1, False) for asn in asns)
         return tuple(
             PlacementRecord(
                 int(asn),
@@ -145,8 +143,8 @@ class BatchLookupResult:
 class FastpathEngine:
     """Vectorized twin of :class:`~repro.core.resolver.DMapResolver`.
 
-    Constructor parameters mirror the resolver's; ``placer`` may be any
-    scheme :mod:`repro.fastpath.placement` knows how to batch.
+    Constructor parameters mirror the resolver's; ``placer`` is any
+    shipped placer (:data:`repro.fastpath.placement.Placer`).
     """
 
     def __init__(

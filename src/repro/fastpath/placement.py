@@ -1,15 +1,16 @@
 """Batched replica placement: vectorized Algorithm 1 and §VII variants.
 
-Mirrors the scalar placers bit for bit:
+The one vectorized form of each placement rule; the scalar placers are
+its oracle, and the two agree bit for bit:
 
 * :class:`~repro.hashing.rehash.GuidPlacer` — hash, longest-prefix match
   through a frozen :class:`~repro.bgp.interval_index.IntervalIndex`
   (exact vs. the trie by construction), re-hash the IP-hole residue with
   the same function index, deputy-AS fallback for exhausted chains;
-* :class:`~repro.hashing.asnum_placer.ASNumberPlacer` — hash modulo the
-  participant roster;
-* :class:`~repro.hashing.asnum_placer.WeightedASPlacer` — hash mapped
-  through the cumulative weight distribution.
+* the :class:`~repro.hashing.asnum_placer.RosterPlacer` variants — hash
+  modulo the participant roster (``ASNumberPlacer``) or through the
+  cumulative weight distribution (``WeightedASPlacer``), each with its
+  own ``slots`` rule.
 
 The hash layer dispatches on the family: :class:`FastHasher` uses its
 native ``hash_batch``; any other :class:`HashFamily` (e.g. the salted
@@ -25,13 +26,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..bgp.interval_index import HOLE, IntervalIndex
-from ..errors import ConfigurationError
-from ..hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
+from ..hashing.asnum_placer import RosterPlacer
 from ..hashing.hashers import FastHasher, HashFamily
 from ..hashing.rehash import GuidPlacer
 
 #: Loose GUID input: raw integer identifier values.
 GuidValues = Union[Sequence[int], np.ndarray]
+
+#: The shipped placement schemes: Algorithm 1 and the §VII roster variants.
+Placer = Union[GuidPlacer, RosterPlacer]
 
 
 def _hash_many(family: HashFamily, values: GuidValues, index: int) -> np.ndarray:
@@ -118,86 +121,28 @@ def resolve_batch(
     return asns, attempts, via_deputy
 
 
-def _asnum_batch(placer: ASNumberPlacer, values: List[int]) -> np.ndarray:
+def _roster_batch(placer: RosterPlacer, values: List[int]) -> np.ndarray:
+    """Vectorized :meth:`RosterPlacer.hosting_asns`: one hash, one slot."""
     roster = np.asarray(placer.asns, dtype=np.int64)
     out = np.empty((len(values), placer.k), dtype=np.int64)
     for i in range(placer.k):
-        slots = _hash_many(placer.hash_family, values, i) % np.uint64(len(roster))
-        out[:, i] = roster[slots.astype(np.int64)]
+        out[:, i] = roster[placer.slots(_hash_many(placer.hash_family, values, i))]
     return out
-
-
-def _weighted_batch(placer: WeightedASPlacer, values: List[int]) -> np.ndarray:
-    roster = np.asarray(placer.asns, dtype=np.int64)
-    cumulative = placer._cumulative
-    out = np.empty((len(values), placer.k), dtype=np.int64)
-    for i in range(placer.k):
-        draws = _hash_many(placer.hash_family, values, i).astype(np.float64)
-        draws /= float(1 << 64)
-        slots = np.searchsorted(cumulative, draws, side="right")
-        slots = np.minimum(slots, len(roster) - 1)
-        out[:, i] = roster[slots]
-    return out
-
-
-def batch_hosting_asns(
-    placer: object,
-    guid_values: GuidValues,
-    index: Optional[IntervalIndex] = None,
-) -> np.ndarray:
-    """Hosting AS numbers for many GUIDs: ``(n, K)`` in replica order.
-
-    Dispatches on the placer type; an unrecognized placer falls back to
-    its scalar ``hosting_asns`` per GUID, so any object satisfying the
-    placer interface stays usable (just not vectorized).
-    """
-    asns, _attempts, _deputy = batch_resolutions(placer, guid_values, index)
-    return asns
 
 
 def batch_resolutions(
-    placer: object,
+    placer: Placer,
     guid_values: GuidValues,
     index: Optional[IntervalIndex] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(asns, hash_attempts, via_deputy)`` for many GUIDs, shape ``(n, K)``.
 
-    The full Algorithm 1 provenance :meth:`GuidPlacer.resolve_all`
-    carries, batched.  Roster-based placers (§VII variants) resolve
-    every chain in one hash application and never need a deputy, so
-    their provenance planes are constant; an unrecognized placer goes
-    through its scalar ``resolve_all``/``hosting_asns`` per GUID.
+    The batched :meth:`resolve_all` of any shipped placer.  Roster
+    placers (§VII variants) resolve every chain in one hash application
+    and never need a deputy, so their provenance planes are constant.
     """
     values = [int(v) for v in guid_values]
     if isinstance(placer, GuidPlacer):
         return resolve_batch(placer, values, index)
-    if isinstance(placer, ASNumberPlacer):
-        asns = _asnum_batch(placer, values)
-    elif isinstance(placer, WeightedASPlacer):
-        asns = _weighted_batch(placer, values)
-    else:
-        resolve_all = getattr(placer, "resolve_all", None)
-        if resolve_all is not None:
-            rows = [resolve_all(v) for v in values]
-            asns = np.asarray(
-                [[res.asn for res in row] for row in rows], dtype=np.int64
-            )
-            attempts = np.asarray(
-                [[getattr(res, "attempts", 1) for res in row] for row in rows],
-                dtype=np.int64,
-            )
-            deputy = np.asarray(
-                [
-                    [getattr(res, "via_deputy", False) for res in row]
-                    for row in rows
-                ],
-                dtype=bool,
-            )
-            return asns, attempts, deputy
-        hosting = getattr(placer, "hosting_asns", None)
-        if hosting is None:
-            raise ConfigurationError(
-                f"object {placer!r} does not expose a placer interface"
-            )
-        asns = np.asarray([hosting(v) for v in values], dtype=np.int64)
+    asns = _roster_batch(placer, values)
     return asns, np.ones_like(asns), np.zeros(asns.shape, dtype=bool)

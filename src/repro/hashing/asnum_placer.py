@@ -8,7 +8,8 @@ at ASs."
 Two placers implementing the same interface as
 :class:`~repro.hashing.rehash.GuidPlacer` (``k``, ``resolve_one``,
 ``resolve_all``, ``hosting_asns``), so the resolver and the simulation can
-swap them in:
+swap them in.  Both pick one AS from a sorted roster per hash function and
+share that body in :class:`RosterPlacer`:
 
 * :class:`ASNumberPlacer` — hash the GUID directly onto the participant
   list.  No IP holes, no rehashing; storage load becomes uniform *per AS*
@@ -35,27 +36,28 @@ from .rehash import HashResolution
 GuidLike = Union[GUID, int]
 
 
-class ASNumberPlacer:
-    """Hash GUIDs directly to AS numbers (uniformly over participants).
+class RosterPlacer:
+    """K hash functions, each picking one AS from a sorted roster.
 
-    Each of the K hash functions selects one AS from the sorted
-    participant list.  The ``address`` recorded in the resolution is the
-    participant *index* — there is no underlying IP address, which is
-    exactly the variant's point: placement no longer depends on the BGP
-    table at all (at the cost of needing an agreed participant roster).
+    The ``address`` recorded in a resolution is the roster slot — there
+    is no underlying IP address, so placement no longer depends on the
+    BGP table (at the cost of needing an agreed participant roster).
+    Every chain resolves in one hash application, without a deputy.
+    Subclasses map 64-bit hash values to slots twice: one value at a time
+    (:meth:`slot`, the scalar oracle) and over a ``uint64`` array
+    (:meth:`slots`, which :mod:`repro.fastpath.placement` batches).
     """
 
     def __init__(
         self,
-        asns: Sequence[int],
-        k: int = 5,
-        hash_family: Optional[HashFamily] = None,
+        asns: List[int],
+        k: int,
+        hash_family: Optional[HashFamily],
+        salt: bytes,
     ) -> None:
-        if not asns:
-            raise ConfigurationError("need at least one participating AS")
-        self.asns = sorted(set(int(a) for a in asns))
+        self.asns = asns
         self.hash_family = hash_family or Sha256Hasher(
-            k, address_bits=64, salt=b"dmap-asnum"
+            k, address_bits=64, salt=salt
         )
         if self.hash_family.k != k:
             raise ConfigurationError("hash_family.k must equal k")
@@ -65,9 +67,17 @@ class ASNumberPlacer:
         """Replication factor."""
         return self.hash_family.k
 
+    def slot(self, hash_value: int) -> int:
+        """Roster slot of one hash value."""
+        raise NotImplementedError
+
+    def slots(self, hash_values: np.ndarray) -> np.ndarray:
+        """Roster slots of a ``uint64`` hash array, as ``int64``."""
+        raise NotImplementedError
+
     def resolve_one(self, guid: GuidLike, index: int) -> HashResolution:
         """Pick the AS for replica ``index`` of ``guid``."""
-        slot = self.hash_family.hash_one(guid, index) % len(self.asns)
+        slot = self.slot(self.hash_family.hash_one(guid, index))
         return HashResolution(
             address=slot, asn=self.asns[slot], attempts=1, via_deputy=False
         )
@@ -81,7 +91,35 @@ class ASNumberPlacer:
         return [res.asn for res in self.resolve_all(guid)]
 
 
-class WeightedASPlacer:
+class ASNumberPlacer(RosterPlacer):
+    """Hash GUIDs directly to AS numbers (uniformly over participants).
+
+    Each of the K hash functions selects one AS from the sorted
+    participant list.
+    """
+
+    def __init__(
+        self,
+        asns: Sequence[int],
+        k: int = 5,
+        hash_family: Optional[HashFamily] = None,
+    ) -> None:
+        if not asns:
+            raise ConfigurationError("need at least one participating AS")
+        super().__init__(
+            sorted(set(int(a) for a in asns)), k, hash_family, b"dmap-asnum"
+        )
+
+    def slot(self, hash_value: int) -> int:
+        """Roster slot of one hash value."""
+        return hash_value % len(self.asns)
+
+    def slots(self, hash_values: np.ndarray) -> np.ndarray:
+        """Roster slots of a ``uint64`` hash array, as ``int64``."""
+        return (hash_values % np.uint64(len(self.asns))).astype(np.int64)
+
+
+class WeightedASPlacer(RosterPlacer):
     """Hash GUIDs to ASs proportionally to explicit hosting weights.
 
     A 64-bit hash is mapped through the cumulative weight distribution, so
@@ -102,20 +140,11 @@ class WeightedASPlacer:
         total = float(sum(weights.values()))
         if total <= 0:
             raise ConfigurationError("total weight must be positive")
-        self.asns = sorted(weights)
-        cumulative = np.cumsum([weights[a] / total for a in self.asns])
+        asns = sorted(weights)
+        cumulative = np.cumsum([weights[a] / total for a in asns])
         cumulative[-1] = 1.0  # guard against float drift
         self._cumulative = cumulative
-        self.hash_family = hash_family or Sha256Hasher(
-            k, address_bits=64, salt=b"dmap-weighted"
-        )
-        if self.hash_family.k != k:
-            raise ConfigurationError("hash_family.k must equal k")
-
-    @property
-    def k(self) -> int:
-        """Replication factor."""
-        return self.hash_family.k
+        super().__init__(asns, k, hash_family, b"dmap-weighted")
 
     def share_of(self, asn: int) -> float:
         """Expected replica share of ``asn``."""
@@ -125,19 +154,14 @@ class WeightedASPlacer:
         lower = self._cumulative[idx - 1] if idx > 0 else 0.0
         return float(self._cumulative[idx] - lower)
 
-    def resolve_one(self, guid: GuidLike, index: int) -> HashResolution:
-        """Pick the AS for replica ``index`` of ``guid``."""
-        draw = self.hash_family.hash_one(guid, index) / float(1 << 64)
+    def slot(self, hash_value: int) -> int:
+        """Roster slot of one hash value."""
+        draw = hash_value / float(1 << 64)
         slot = int(np.searchsorted(self._cumulative, draw, side="right"))
-        slot = min(slot, len(self.asns) - 1)
-        return HashResolution(
-            address=slot, asn=self.asns[slot], attempts=1, via_deputy=False
-        )
+        return min(slot, len(self.asns) - 1)
 
-    def resolve_all(self, guid: GuidLike) -> List[HashResolution]:
-        """All K replica placements."""
-        return [self.resolve_one(guid, i) for i in range(self.k)]
-
-    def hosting_asns(self, guid: GuidLike) -> List[int]:
-        """Hosting AS numbers in replica order."""
-        return [res.asn for res in self.resolve_all(guid)]
+    def slots(self, hash_values: np.ndarray) -> np.ndarray:
+        """Roster slots of a ``uint64`` hash array, as ``int64``."""
+        draws = hash_values.astype(np.float64) / float(1 << 64)
+        slots = np.searchsorted(self._cumulative, draws, side="right")
+        return np.minimum(slots, len(self.asns) - 1)

@@ -305,12 +305,8 @@ class DMapClient:
         guid = guid_like(guid)
         trace_id = self._next_trace_id()
         tracing = self.tracer.enabled
-        placement = placement_records(self.placer, guid) if tracing else ()
-        if tracing:
-            chains: Sequence[int] = [record.asn for record in placement]
-        else:
-            chains = self.placer.hosting_asns(guid)
-        replicas = _distinct_replicas(chains)
+        resolutions = self.placer.resolve_all(guid)
+        replicas = _distinct_replicas([res.asn for res in resolutions])
 
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -340,7 +336,8 @@ class DMapClient:
             # has no node at arbitrary querier ASs).
             self.tracer.record(
                 build_query_trace(
-                    guid.value, source_asn, issued_at, placement,
+                    guid.value, source_asn, issued_at,
+                    placement_records(resolutions),
                     ((a.asn, a.outcome, a.cost_ms) for a in attempts_log),
                     local_launched=False,
                     local_outcome=None,

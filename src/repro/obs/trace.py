@@ -18,7 +18,10 @@ memory for tests and experiment drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from ..hashing.rehash import HashResolution
 
 #: Local-branch / attempt outcome strings, the one definition every
 #: engine uses (:mod:`repro.core.resolver` re-exports them).
@@ -165,25 +168,12 @@ class QueryTrace:
         )
 
 
-def placement_records(placer: object, guid: object) -> Tuple[PlacementRecord, ...]:
-    """Derive a GUID's placement records from any scalar placer.
-
-    Uses ``resolve_all`` when the placer exposes it (all shipped placers
-    do — it carries the Algorithm 1 rehash depth and deputy flag), and
-    degrades to ``hosting_asns`` with depth 1 otherwise.
-    """
-    resolve_all = getattr(placer, "resolve_all", None)
-    if resolve_all is not None:
-        return tuple(
-            PlacementRecord(
-                res.asn,
-                getattr(res, "attempts", 1),
-                getattr(res, "via_deputy", False),
-            )
-            for res in resolve_all(guid)
-        )
+def placement_records(
+    resolutions: Iterable[HashResolution],
+) -> Tuple[PlacementRecord, ...]:
+    """The trace view of a placer's ``resolve_all``: AS, depth, deputy flag."""
     return tuple(
-        PlacementRecord(int(asn), 1, False) for asn in placer.hosting_asns(guid)
+        PlacementRecord(res.asn, res.attempts, res.via_deputy) for res in resolutions
     )
 
 

@@ -488,16 +488,14 @@ class DMapSimulation:
 
     def _start_lookup(self, guid: GUID, source_asn: int) -> None:
         now = self.simulator.now
-        if self.tracer.enabled:
-            placement = placement_records(self.placer, guid)
-            hosting: Sequence[int] = [record.asn for record in placement]
-        else:
-            placement = ()
-            hosting = self.placer.hosting_asns(guid)
-        candidates = self.selector.order_candidates(source_asn, hosting)
+        resolutions = self.placer.resolve_all(guid)
+        candidates = self.selector.order_candidates(
+            source_asn, [res.asn for res in resolutions]
+        )
         request_id = self.network.next_request_id()
         pending = _PendingLookup(self, guid, source_asn, now, candidates)
-        pending.placement = placement
+        if pending.tracing:
+            pending.placement = placement_records(resolutions)
         self._pending[request_id] = pending
         # The DES delivers the local reply through the network; the rule's
         # down-querier verdict arms the timer that guards the request.

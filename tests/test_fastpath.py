@@ -24,13 +24,13 @@ from repro.errors import ConfigurationError, LookupFailedError
 from repro.fastpath import (
     FastpathEngine,
     FastpathUnsupportedError,
-    batch_hosting_asns,
+    batch_resolutions,
     resolve_batch,
 )
 from repro.fastpath.runner import _shard_rows, run_sharded
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
-from repro.hashing.hashers import FastHasher
-from repro.hashing.rehash import GuidPlacer, place_guids_bulk
+from repro.hashing.hashers import FastHasher, Sha256Hasher
+from repro.hashing.rehash import GuidPlacer
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 N_GUIDS = 40
@@ -295,7 +295,9 @@ class TestRejections:
 # Placement kernels (fig6 path)
 # ----------------------------------------------------------------------
 class TestBatchPlacement:
-    def test_resolve_batch_matches_place_guids_bulk(self, base_table):
+    def test_resolve_batch_matches_batch_resolutions(self, base_table):
+        # fig6 and the rehash probe pass folded uint64 arrays straight
+        # in; the engine goes through batch_resolutions with int lists.
         rng = np.random.default_rng(41)
         folded = rng.integers(
             0, np.iinfo(np.uint64).max, size=2000, dtype=np.uint64
@@ -304,24 +306,35 @@ class TestBatchPlacement:
         index = base_table.build_interval_index()
         placer = GuidPlacer(hasher, base_table)
         fast = resolve_batch(placer, folded, index)
-        bulk = place_guids_bulk(folded, hasher, index, base_table)
-        for a, b in zip(fast, bulk):
+        listed = batch_resolutions(placer, folded.tolist())
+        for a, b in zip(fast, listed):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("scheme", ["guid", "asnum", "weighted"])
+    @pytest.mark.parametrize("scheme", ["guid", "guid-sha256", "asnum", "weighted"])
     def test_batch_hosting_matches_scalar(self, base_table, asns, scheme):
         rng = np.random.default_rng(42)
         values = [int(v) for v in rng.integers(0, 2**64, size=64, dtype=np.uint64)]
         if scheme == "guid":
             placer = GuidPlacer(FastHasher(5, address_bits=base_table.bits), base_table)
+        elif scheme == "guid-sha256":
+            # The resolver's default family takes the per-value hash and
+            # rehash loops; M=2 sends many chains to the deputy fallback.
+            placer = GuidPlacer(
+                Sha256Hasher(5, address_bits=base_table.bits),
+                base_table,
+                max_rehashes=2,
+            )
         elif scheme == "asnum":
             placer = ASNumberPlacer(asns, k=5)
         else:
             weights = {int(a): float(i % 7 + 1) for i, a in enumerate(asns)}
             placer = WeightedASPlacer(weights, k=5)
-        batch = batch_hosting_asns(placer, values)
-        for row, v in zip(batch, values):
-            assert row.tolist() == placer.hosting_asns(GUID(v))
+        asns_m, attempts_m, deputy_m = batch_resolutions(placer, values)
+        for row, v in enumerate(values):
+            scalar = placer.resolve_all(GUID(v))
+            assert asns_m[row].tolist() == [res.asn for res in scalar]
+            assert attempts_m[row].tolist() == [res.attempts for res in scalar]
+            assert deputy_m[row].tolist() == [res.via_deputy for res in scalar]
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.core.resolver import (
     DMapResolver,
 )
 from repro.errors import LookupFailedError
-from repro.fastpath.placement import batch_hosting_asns, batch_resolutions
+from repro.fastpath.placement import batch_resolutions
 from repro.obs import CollectingTracer, aggregate_traces
 from repro.obs.export import dumps_trace, trace_from_dict, trace_to_dict
 
@@ -124,7 +124,7 @@ class TestPlacementReplay:
         resolver, traces = traced_world
         unique = {t.guid_value: t for t in traces}
         values = sorted(unique)
-        rows = batch_hosting_asns(resolver.placer, values)
+        rows, _attempts, _deputy = batch_resolutions(resolver.placer, values)
         for row, value in zip(rows, values):
             assert tuple(int(a) for a in row) == unique[value].replica_set
 

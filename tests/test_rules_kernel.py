@@ -3,9 +3,11 @@
 The scalar resolver, the fastpath engine, the DES and the live client
 execute one protocol.  Its decisions live in single functions —
 :func:`repro.core.resolver.adaptive_timeout_ms` (§III-D.3),
-:func:`repro.core.resolver.local_branch` (§III-C) and
-:func:`repro.obs.trace.build_query_trace` — and these tests keep the
-engines from growing private copies again.
+:func:`repro.core.resolver.local_branch` (§III-C),
+:func:`repro.obs.trace.build_query_trace` and Algorithm 1's placement
+chain (:meth:`repro.hashing.rehash.GuidPlacer.resolve_one` and its
+vectorized form :func:`repro.fastpath.placement.resolve_batch`) — and
+these tests keep the engines from growing private copies again.
 """
 
 from __future__ import annotations
@@ -83,6 +85,24 @@ class TestOneDefinition:
         )
         assert sites and {func for _, func in sites} == {"adaptive_timeout_ms"}
         assert {module for module, _ in sites} == {"core/resolver.py"}
+
+    def test_deputy_fallback_only_in_the_placement_kernel(self):
+        # Algorithm 1 has one scalar oracle and one vectorized kernel.
+        sites = _sites(lambda call: _call_name(call) == "nearest")
+        assert sorted(sites) == [
+            ("fastpath/placement.py", "resolve_batch"),
+            ("hashing/rehash.py", "resolve_one"),
+        ]
+
+    def test_no_duck_typed_provenance(self):
+        # Every placer's resolutions carry ``attempts`` and ``via_deputy``.
+        sites = _sites(
+            lambda call: _call_name(call) == "getattr"
+            and len(call.args) > 1
+            and isinstance(call.args[1], ast.Constant)
+            and call.args[1].value in ("attempts", "via_deputy")
+        )
+        assert sites == []
 
     def test_adaptive_timeout_scalar_and_array(self):
         scalar = adaptive_timeout_ms(1000.0, 700.0)
