@@ -25,8 +25,9 @@ class GlobalPrefixTable:
     """Set of BGP announcements with LPM and nearest-prefix queries.
 
     Internally a :class:`~repro.bgp.trie.PrefixTrie` plus per-AS indexes.
-    A frozen :class:`~repro.bgp.interval_index.IntervalIndex` snapshot can
-    be built for vectorized bulk experiments.
+    :meth:`interval_index` serves a frozen
+    :class:`~repro.bgp.interval_index.IntervalIndex` snapshot of the
+    current announcements for vectorized bulk LPM.
     """
 
     def __init__(
@@ -37,6 +38,7 @@ class GlobalPrefixTable:
         self.bits = bits
         self._trie = PrefixTrie(bits)
         self._by_asn: Dict[int, Set[Prefix]] = {}
+        self._interval: Optional[IntervalIndex] = None
         for ann in announcements:
             self.announce(ann)
 
@@ -46,6 +48,7 @@ class GlobalPrefixTable:
     def announce(self, announcement: Announcement) -> None:
         """Add an origination.  Re-announcing a prefix from a different AS
         moves it (the old origin loses it), mirroring BGP origin changes."""
+        self._interval = None
         previous = self._trie.insert(announcement)
         if previous is not None:
             owned = self._by_asn.get(previous.asn)
@@ -60,6 +63,7 @@ class GlobalPrefixTable:
         removed = self._trie.withdraw(prefix)
         if removed is None:
             raise PrefixTableError(f"prefix {prefix} is not announced")
+        self._interval = None
         owned = self._by_asn.get(removed.asn)
         if owned is not None:
             owned.discard(prefix)
@@ -128,11 +132,20 @@ class GlobalPrefixTable:
         return NetworkAddress(prefixes[0].base, self.bits)
 
     def build_interval_index(self) -> IntervalIndex:
-        """Frozen vectorized snapshot for bulk LPM (Fig. 6 experiment).
+        """Frozen vectorized snapshot for bulk LPM.
 
         The snapshot does not track later announce/withdraw calls.
         """
         return IntervalIndex(list(self), bits=self.bits)
+
+    def interval_index(self) -> IntervalIndex:
+        """The snapshot of the current table version, built on first use.
+
+        Every announce/withdraw drops it, so the next call rebuilds.
+        """
+        if self._interval is None:
+            self._interval = self.build_interval_index()
+        return self._interval
 
     def copy(self) -> "GlobalPrefixTable":
         """Independent copy (used to model inconsistent BGP views)."""

@@ -97,6 +97,32 @@ def local_branch(
     return launched, 2.0 * router.topology.intra_latency(source_asn)
 
 
+def race_verdict(
+    local_hit, local_end, launched, global_hit, walk_ms
+) -> Tuple[Union[bool, np.ndarray], Union[float, np.ndarray]]:
+    """The §III-C race verdict: ``(used_local, rtt_ms)``.
+
+    The local reply (``local_hit``, landing at ``local_end``) serves the
+    lookup when the global walk found nothing or hit no earlier than it:
+    ties go local, because the local request is issued first.  Otherwise
+    a global hit is served at ``walk_ms``; a lookup with neither ends
+    when the later branch does — the failed walk, or the local reply if
+    the local branch was ``launched``.  Python scalars in give a Python
+    ``bool`` and ``float`` out; arrays give element-wise arrays.
+    """
+    if isinstance(walk_ms, np.ndarray):
+        used_local = local_hit & (~global_hit | (local_end <= walk_ms))
+        failed_ms = np.where(launched, np.maximum(walk_ms, local_end), walk_ms)
+        return used_local, np.where(
+            used_local, local_end, np.where(global_hit, walk_ms, failed_ms)
+        )
+    if local_hit and (not global_hit or local_end <= walk_ms):
+        return True, float(local_end)
+    if global_hit or not launched:
+        return False, float(walk_ms)
+    return False, float(max(walk_ms, local_end))
+
+
 @dataclass(frozen=True)
 class Attempt:
     """One contact with a replica during a lookup."""
@@ -356,11 +382,9 @@ class DMapResolver:
         launched, local_end = local_branch(self, source_asn, ordered, source_down)
         local_entry: Optional[MappingEntry] = None
         local_outcome: Optional[str] = None
-        if not launched:
-            local_end = None
-        elif source_down:
+        if launched and source_down:
             local_outcome = OUTCOME_TIMEOUT
-        else:
+        elif launched:
             local_entry = self.store_at(source_asn).get(guid)
             local_outcome = OUTCOME_HIT if local_entry is not None else OUTCOME_MISSING
 
@@ -392,24 +416,21 @@ class DMapResolver:
             if found is not None:
                 break
 
-        # The verdict: the parallel local query wins when it answers no
-        # later than the global hit (§III-C); a lookup with neither fails
-        # when the later branch ends.
-        used_local = local_entry is not None and (found is None or local_end <= elapsed)
+        used_local, elapsed = race_verdict(
+            local_entry is not None, local_end, launched, found is not None, elapsed
+        )
         served_by: Optional[int] = None
         if used_local:
-            found, served_by, elapsed = local_entry, source_asn, local_end
+            found, served_by = local_entry, source_asn
         elif found is not None:
             served_by = attempts[-1].asn
-        elif local_end is not None:
-            elapsed = max(elapsed, local_end)
         if self.tracer.enabled:
             self.tracer.record(
                 build_query_trace(
                     guid.value, source_asn, time, placement_records(resolutions),
                     ((a.asn, a.outcome, a.cost_ms) for a in attempts),
-                    launched, local_outcome, local_end, used_local,
-                    served_by, elapsed,
+                    launched, local_outcome, local_end if launched else None,
+                    used_local, served_by, elapsed,
                 )
             )
         if served_by is None:

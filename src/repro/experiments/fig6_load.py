@@ -111,8 +111,7 @@ def run_fig6(
         factor = env.scale.n_as / 26_424
         n_guids_list = [max(1000, int(n * factor)) for n in FIG6_N_GUIDS]
 
-    index = env.table.build_interval_index()
-    spans = index.effective_span_by_asn()
+    spans = env.table.interval_index().effective_span_by_asn()
     placer = GuidPlacer(
         FastHasher(k, address_bits=env.table.bits, seed=seed),
         env.table,
@@ -125,7 +124,7 @@ def run_fig6(
     for n in n_guids_list:
         folded = rng.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
         if engine == "fastpath":
-            asns, _attempts, via_deputy = resolve_batch(placer, folded, index)
+            asns, _attempts, via_deputy = resolve_batch(placer, folded)
         else:
             asns, via_deputy = _place_guids_scalar(folded, placer)
         flat = asns.ravel()

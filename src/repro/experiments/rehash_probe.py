@@ -61,8 +61,7 @@ def run_rehash_probe(
 ) -> RehashResult:
     """Sweep the M (max rehash) parameter and measure deputy fallbacks."""
     env = environment or get_environment(scale, seed)
-    index = env.table.build_interval_index()
-    ratio = index.announced_fraction()
+    ratio = env.table.interval_index().announced_fraction()
     hasher = FastHasher(1, address_bits=env.table.bits, seed=seed)
     rng = np.random.default_rng(seed)
     folded = rng.integers(0, np.iinfo(np.uint64).max, size=n_samples, dtype=np.uint64)
@@ -72,7 +71,7 @@ def run_rehash_probe(
     mean_attempts = 0.0
     for m in m_values:
         placer = GuidPlacer(hasher, env.table, max_rehashes=m)
-        _asns, attempts, via_deputy = resolve_batch(placer, folded, index)
+        _asns, attempts, via_deputy = resolve_batch(placer, folded)
         deputy_by_m[m] = float(via_deputy.mean())
         analytic_by_m[m] = hole_probability(ratio, m)
         if m == max(m_values):

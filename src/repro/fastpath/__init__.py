@@ -11,9 +11,9 @@ arrays:
   IP-hole rehash, deputy fallback) that the engine, Fig. 6 and the
   rehash probe all run, plus the §VII AS-number / weighted variants;
 * :mod:`repro.fastpath.engine` — :class:`FastpathEngine`: lookups grouped
-  by source AS, replica selection as a fancy-indexed min-of-K over one
-  cached Dijkstra row, with the §III-C local-replica race and §III-D.3
-  failed-attempt accounting expressed as row-wise prefix sums;
+  by source AS and walked in blocks of whole groups, with §III-D.3
+  failed-attempt accounting as row-wise prefix sums and the §III-C race
+  decided by :func:`repro.core.resolver.race_verdict`;
 * :mod:`repro.fastpath.runner` — an optional ``multiprocessing`` shard
   runner that splits source-AS groups across workers for paper scale.
 

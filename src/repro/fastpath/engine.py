@@ -6,12 +6,16 @@
 * GUIDs are placed **once** per unique identifier (the scalar resolver
   re-derives the K hosting ASs on every lookup);
 * lookups are grouped by source AS, so each group needs exactly one
-  cached Dijkstra row; replica selection is a fancy-indexed row-wise
-  ``argmin`` whose tie-breaking provably matches the stable sort in
-  :class:`~repro.core.replication.ReplicaSelector`;
-* the §III-C local-replica race and the §III-D.3 failed-attempt
-  accounting (one RTT per "GUID missing", an adaptive timeout per dead
-  replica) become row-wise prefix sums over the walk-cost matrix.
+  cached Dijkstra row; the group loop only gathers the planes that
+  depend on the querier (selection keys, RTTs, the §III-C local branch),
+  and whole groups are batched into blocks of about :data:`BLOCK_ROWS`;
+* each block is walked once: a row-wise stable ``argsort`` of the keys
+  (the tie-breaking of :class:`~repro.core.replication.ReplicaSelector`),
+  the §III-D.3 failed-attempt accounting (one RTT per "GUID missing", an
+  adaptive timeout per dead replica) as prefix sums over the walk-cost
+  matrix, and :func:`~repro.core.resolver.race_verdict` for the §III-C
+  local race.  Without an availability model every replica hits, so
+  the walk stops at the best-ranked one.
 
 Latency arithmetic reproduces the scalar path bit for bit: selection
 keys use the same float32-row + float64-intra expression as
@@ -33,13 +37,18 @@ Deliberate limits (the scalar resolver stays the oracle):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..bgp.table import GlobalPrefixTable
 from ..core.guid import GUID, guid_like
-from ..core.resolver import DEFAULT_TIMEOUT_MS, adaptive_timeout_ms, local_branch
+from ..core.resolver import (
+    DEFAULT_TIMEOUT_MS,
+    adaptive_timeout_ms,
+    local_branch,
+    race_verdict,
+)
 from ..errors import ConfigurationError, DMapError, RoutingError
 from ..hashing.hashers import HashFamily, Sha256Hasher
 from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
@@ -58,6 +67,11 @@ from .placement import batch_resolutions
 
 #: Selection policies the batch engine reproduces exactly.
 SUPPORTED_POLICIES = ("latency", "hops")
+
+#: Lookups walked and decided together: whole source-AS groups are
+#: gathered until a block holds about this many rows, which keeps the
+#: per-attempt planes small while amortizing numpy call overhead.
+BLOCK_ROWS = 8192
 
 #: Integer outcome codes for the vectorized walk.
 _HIT, _MISSING, _TIMEOUT = 0, 1, 2
@@ -176,7 +190,6 @@ class FastpathEngine:
         self.timeout_ms = timeout_ms
         # Explicit None check: an empty CollectingTracer is falsy (len 0).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._interval = None
 
     @classmethod
     def from_resolver(cls, resolver) -> "FastpathEngine":
@@ -211,11 +224,8 @@ class FastpathEngine:
         engine's ``local_replica`` is off.
         """
         glist = [guid_like(g) for g in guids]
-        values = [g.value for g in glist]
-        if self._interval is None and isinstance(self.placer, GuidPlacer):
-            self._interval = self.placer.table.build_interval_index()
         placements, hash_attempts, via_deputy = batch_resolutions(
-            self.placer, values, self._interval
+            self.placer, [g.value for g in glist]
         )
         if local_asns is None:
             local = np.full(len(glist), -1, dtype=np.int64)
@@ -240,9 +250,11 @@ class FastpathEngine:
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
         out = np.empty(len(guid_idx), dtype=np.float64)
-        for src, rows in _iter_source_groups(sources):
+        order, edges = source_groups(sources)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rows = order[lo:hi]
             cand = batch.placements[guid_idx[rows]]
-            rtts = self.router.rtt_to_many(int(src), cand.ravel())
+            rtts = self.router.rtt_to_many(int(sources[rows[0]]), cand.ravel())
             out[rows] = rtts.reshape(cand.shape).max(axis=1)
         return out
 
@@ -319,20 +331,23 @@ class FastpathEngine:
                 raise ConfigurationError(
                     "issued_at must align one-to-one with guid_idx"
                 )
-        placement_cache: Dict[int, Tuple[PlacementRecord, ...]] = {}
-        for src, rows in _iter_source_groups(sources):
-            group = self._lookup_group(
-                int(src),
+        order, edges = source_groups(sources)
+        cuts = cut_at_groups(edges, np.arange(BLOCK_ROWS, n, BLOCK_ROWS))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            rows = order[lo:hi]
+            first, last = np.searchsorted(edges, (lo, hi))
+            block = self._lookup_block(
                 batch,
                 guid_idx[rows],
+                sources[rows],
+                edges[first : last + 1] - lo,
                 model,
-                issued_at=times[rows] if tracing else None,
-                placement_cache=placement_cache if tracing else None,
+                times[rows] if tracing else None,
             )
-            rtt[rows], served[rows], used_local[rows], attempts[rows], success[rows] = group[:5]
+            rtt[rows], served[rows], used_local[rows], attempts[rows], success[rows] = block[:5]
             if tracing:
-                for offset, row in enumerate(rows):
-                    trace_slots[int(row)] = group[5][offset]
+                for row, trace in zip(rows.tolist(), block[5]):
+                    trace_slots[row] = trace
         if not np.all(np.isfinite(rtt)):
             bad = int(np.flatnonzero(~np.isfinite(rtt))[0])
             raise RoutingError(
@@ -346,7 +361,7 @@ class FastpathEngine:
                 self.tracer.record(trace)
         return BatchLookupResult(rtt, served, used_local, attempts, success)
 
-    # -- one source-AS group -------------------------------------------
+    # -- one block of whole source-AS groups ----------------------------
     def _selection_keys(self, src: int, cand_idx: np.ndarray) -> np.ndarray:
         """Ordering keys, identical to ``ReplicaSelector.order_candidates``."""
         router = self.router
@@ -364,52 +379,47 @@ class FastpathEngine:
         key[cand_idx == src_idx] = 0.0
         return key
 
-    def _lookup_group(
+    def _lookup_block(
         self,
-        src: int,
         batch: GuidBatch,
         gidx: np.ndarray,
+        src: np.ndarray,
+        edges: np.ndarray,
         model=None,
         issued_at: Optional[np.ndarray] = None,
-        placement_cache: Optional[Dict[int, Tuple[PlacementRecord, ...]]] = None,
     ) -> Tuple[object, ...]:
+        """Walk and decide a block of whole source groups in one pass.
+
+        Group ``g`` is rows ``edges[g]:edges[g + 1]`` (one querier AS,
+        hence one Dijkstra row).  The group loop only gathers the per-row
+        planes that depend on the querier; the walk and the §III-C
+        verdict then run once over the whole block.  Per-row traces are
+        appended to the result when ``issued_at`` is given.
+        """
         cand = batch.placements[gidx]
         m, k = cand.shape
         cand_idx = self.router.indices_of(cand)
-        key = self._selection_keys(src, cand_idx)
-        rtt_all = self.router.rtt_to_many(src, cand.ravel(), strict=False)
-        rtt_all = rtt_all.reshape(m, k)
-        src_down = model is not None and model.is_down(src)
-        branch, local_end = local_branch(self, src, cand, src_down)
+        key = np.empty((m, k), dtype=np.float64)
+        rtt_all = np.empty((m, k), dtype=np.float64)
+        branch = np.empty(m, dtype=bool)
+        local_end = np.empty(m, dtype=np.float64)
+        src_down = np.zeros(m, dtype=bool)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            asn = int(src[lo])
+            key[lo:hi] = self._selection_keys(asn, cand_idx[lo:hi])
+            rtt_all[lo:hi] = self.router.rtt_to_many(
+                asn, cand[lo:hi].ravel(), strict=False
+            ).reshape(hi - lo, k)
+            down = model is not None and model.is_down(asn)
+            branch[lo:hi], local_end[lo:hi] = local_branch(self, asn, cand[lo:hi], down)
+            src_down[lo:hi] = down
         # A down querier's local store never answers.
-        local_entry = branch & (batch.local_asns[gidx] == src) & (not src_down)
-        rows = np.arange(m)
-        tracing = placement_cache is not None
-
+        local_entry = branch & (batch.local_asns[gidx] == src) & ~src_down
         if model is None:
-            # Converged, failure-free: the best-ranked replica answers on
-            # the first attempt; only the local race remains.
-            choice = np.argmin(key, axis=1)
-            global_rtt = rtt_all[rows, choice]
-            won = local_entry & (local_end <= global_rtt)
-            rtt = np.where(won, local_end, global_rtt)
-            served = np.where(won, src, cand[rows, choice])
-            attempts = np.where(won & (local_end <= 0.0), 0, 1)
-            success = np.ones(m, dtype=bool)
-            result = (rtt, served, won, attempts, success)
-            if not tracing:
-                return result
-            # The walk lane's trace shape with one executed hit per row.
-            traces = self._group_traces(
-                src, batch, gidx, cand[rows, choice][:, None],
-                np.full((m, 1), _HIT, dtype=np.int8), global_rtt[:, None],
-                np.ones((m, 1), dtype=bool), np.zeros((m, 1)), won, branch,
-                local_entry, local_end, src_down, rtt, served, success,
-                issued_at, placement_cache,
-            )
-            return result + (traces,)
+            outcome = np.zeros((m, k), dtype=np.int8)  # every replica hits
+        else:
+            outcome = _outcome_matrix(batch, gidx, cand, model)
 
-        outcome = self._outcome_matrix(src, batch, gidx, cand, model)
         order = np.argsort(key, axis=1, kind="stable")
         s_cand = np.take_along_axis(cand, order, axis=1)
         s_out = np.take_along_axis(outcome, order, axis=1)
@@ -426,162 +436,81 @@ class FastpathEngine:
         hit = (~dup) & (s_out == _HIT)
         has_hit = hit.any(axis=1)
         first_hit = np.argmax(hit, axis=1)
-        cols = np.arange(k)
-        after = has_hit[:, None] & (cols[None, :] > first_hit[:, None])
+        after = has_hit[:, None] & (np.arange(k)[None, :] > first_hit[:, None])
         walk_cost = np.where(after, 0.0, cost)
         elapsed = np.cumsum(walk_cost, axis=1)
-        elapsed_before = elapsed - walk_cost
-        executed = (~dup) & ~after
-        walk_len = executed.sum(axis=1)
 
-        global_rtt = elapsed[rows, first_hit]
-        fail_elapsed = elapsed[:, -1]
-        won = local_entry & (~has_hit | (local_end <= global_rtt))
+        # Nothing is charged after the first hit, so the last column is
+        # the walk's end: the hit's RTT, or the whole failed walk.
+        won, rtt = race_verdict(local_entry, local_end, branch, has_hit, elapsed[:, -1])
         success = has_hit | local_entry
-        rtt = np.where(
-            won,
-            local_end,
-            np.where(
-                has_hit,
-                global_rtt,
-                np.where(branch, np.maximum(fail_elapsed, local_end), fail_elapsed),
-            ),
-        )
         served = np.where(
-            won, src, np.where(has_hit, s_cand[rows, first_hit], -1)
+            won, src, np.where(has_hit, s_cand[np.arange(m), first_hit], -1)
         )
-        early = (executed & (elapsed_before < local_end)).sum(axis=1)
-        attempts = np.where(won, early, walk_len)
-        result = (rtt, served, won, attempts, success)
-        if not tracing:
+        # The walk issues every non-duplicate attempt up to the first
+        # hit, except those due once the winning local reply has landed.
+        issued = (~dup) & ~after
+        issued &= ~won[:, None] | (elapsed - walk_cost < local_end[:, None])
+        result = (rtt, served, won, issued.sum(axis=1), success)
+        if issued_at is None:
             return result
-        traces = self._group_traces(
-            src, batch, gidx, s_cand, s_out, cost, executed, elapsed_before,
-            won, branch, local_entry, local_end, src_down, rtt, served, success,
-            issued_at, placement_cache,
+        local_codes = np.where(
+            src_down, _TIMEOUT, np.where(local_entry, _HIT, _MISSING)
         )
+        traces = [
+            build_query_trace(
+                batch.guids[gidx[r]].value, int(src[r]), float(issued_at[r]),
+                batch.placement_records(int(gidx[r])),
+                (
+                    (int(s_cand[r, j]), _CODE_OUTCOMES[int(s_out[r, j])],
+                     float(cost[r, j]))
+                    for j in np.flatnonzero(issued[r])
+                ),
+                bool(branch[r]),
+                _CODE_OUTCOMES[int(local_codes[r])] if branch[r] else None,
+                float(local_end[r]) if branch[r] else None, won[r],
+                int(served[r]) if success[r] else None, float(rtt[r]),
+            )
+            for r in range(m)
+        ]
         return result + (traces,)
 
-    # -- trace reconstruction (tracing runs only) ----------------------
-    def _placement_of(
-        self,
-        batch: GuidBatch,
-        guid_index: int,
-        cache: Dict[int, Tuple[PlacementRecord, ...]],
-    ) -> Tuple[PlacementRecord, ...]:
-        placement = cache.get(guid_index)
-        if placement is None:
-            placement = batch.placement_records(guid_index)
-            cache[guid_index] = placement
-        return placement
 
-    def _group_traces(
-        self,
-        src: int,
-        batch: GuidBatch,
-        gidx: np.ndarray,
-        s_cand: np.ndarray,
-        s_out: np.ndarray,
-        cost: np.ndarray,
-        executed: np.ndarray,
-        elapsed_before: np.ndarray,
-        won: np.ndarray,
-        branch: np.ndarray,
-        local_entry: np.ndarray,
-        local_end: float,
-        src_down: bool,
-        rtt: np.ndarray,
-        served: np.ndarray,
-        success: np.ndarray,
-        issued_at: np.ndarray,
-        placement_cache: Dict[int, Tuple[PlacementRecord, ...]],
-    ) -> List[QueryTrace]:
-        """Per-row traces from the walk-ordered attempt planes.
-
-        An attempt made it into the scalar trace iff the walk issued it:
-        non-duplicate, at or before the first hit, and — when the local
-        race won — issued strictly before the local reply landed.  That
-        is exactly ``executed`` (and the ``elapsed_before < local_end``
-        refinement for won rows), so the reconstructed streams match the
-        scalar resolver's record for record.
-        """
-        m, k = s_cand.shape
-        traces: List[QueryTrace] = []
-        for r in range(m):
-            gi = int(gidx[r])
-            exec_mask = executed[r]
-            if bool(won[r]):
-                exec_mask = exec_mask & (elapsed_before[r] < local_end)
-            launched = bool(branch[r])
-            local_outcome = None
-            if launched:
-                if src_down:
-                    local_outcome = OUTCOME_TIMEOUT
-                elif bool(local_entry[r]):
-                    local_outcome = OUTCOME_HIT
-                else:
-                    local_outcome = OUTCOME_MISSING
-            traces.append(
-                build_query_trace(
-                    batch.guids[gi].value, src, float(issued_at[r]),
-                    self._placement_of(batch, gi, placement_cache),
-                    (
-                        (int(s_cand[r, j]), _CODE_OUTCOMES[int(s_out[r, j])],
-                         float(cost[r, j]))
-                        for j in range(k)
-                        if exec_mask[j]
-                    ),
-                    launched, local_outcome,
-                    float(local_end) if launched else None, won[r],
-                    int(served[r]) if success[r] else None, float(rtt[r]),
-                )
-            )
-        return traces
-
-    def _outcome_matrix(
-        self,
-        src: int,
-        batch: GuidBatch,
-        gidx: np.ndarray,
-        cand: np.ndarray,
-        model,
-    ) -> np.ndarray:
-        """Outcome codes per (row, replica), memoized per (AS, GUID)."""
-        m, k = cand.shape
-        out = np.empty((m, k), dtype=np.int8)
-        memo: Dict[Tuple[int, int], int] = {}
-        for r in range(m):
-            gi = int(gidx[r])
-            guid = batch.guids[gi]
-            for c in range(k):
-                asn = int(cand[r, c])
-                cached = memo.get((asn, gi))
-                if cached is None:
-                    raw = model.lookup_outcome(asn, guid)
-                    cached = _OUTCOME_CODES.get(raw)
-                    if cached is None:
-                        raise ConfigurationError(
-                            f"probe returned unknown outcome {raw!r}"
-                        )
-                    memo[(asn, gi)] = cached
-                out[r, c] = cached
-        return out
+def _outcome_matrix(
+    batch: GuidBatch, gidx: np.ndarray, cand: np.ndarray, model
+) -> np.ndarray:
+    """Outcome codes per (row, replica), probing each (AS, GUID) once."""
+    pairs = np.stack([cand.ravel(), np.repeat(gidx, cand.shape[1])], axis=1)
+    unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    codes = np.empty(len(unique), dtype=np.int8)
+    for i, (asn, gi) in enumerate(unique.tolist()):
+        raw = model.lookup_outcome(asn, batch.guids[gi])
+        if raw not in _OUTCOME_CODES:
+            raise ConfigurationError(f"probe returned unknown outcome {raw!r}")
+        codes[i] = _OUTCOME_CODES[raw]
+    return codes[inverse.ravel()].reshape(cand.shape)
 
 
-def _iter_source_groups(sources: np.ndarray):
-    """Yield ``(source_asn, row_indices)`` per distinct source AS.
+def source_groups(sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by source AS: ``(order, edges)``.
 
-    Grouping is by sorted source value; within a group the original row
-    order is preserved (stable sort), so per-row outcomes land back on
-    the right queries.
+    ``order`` is the stable argsort of ``sources``, so each group keeps
+    the original row order; group ``g`` is ``order[edges[g]:edges[g + 1]]``
+    (``edges`` runs from 0 to ``len(sources)``).
     """
     order = np.argsort(sources, kind="stable")
     sorted_src = sources[order]
-    if len(sorted_src) == 0:
-        return
-    boundaries = np.flatnonzero(
-        np.r_[True, sorted_src[1:] != sorted_src[:-1]]
-    )
-    ends = np.r_[boundaries[1:], len(sorted_src)]
-    for start, end in zip(boundaries, ends):
-        yield int(sorted_src[start]), order[start:end]
+    starts = np.ones(len(sorted_src), dtype=bool)
+    starts[1:] = sorted_src[1:] != sorted_src[:-1]
+    return order, np.r_[np.flatnonzero(starts), len(sorted_src)]
+
+
+def cut_at_groups(edges: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Cut points for slicing grouped rows near row ``targets``.
+
+    Each target moves up to the next group edge, so no group is split;
+    the result starts at 0, ends at the row count, and is strictly
+    increasing.
+    """
+    cuts = edges[np.searchsorted(edges, targets, side="left")]
+    return np.unique(np.r_[edges[0], cuts, edges[-1]])

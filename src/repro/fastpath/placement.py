@@ -4,9 +4,10 @@ The one vectorized form of each placement rule; the scalar placers are
 its oracle, and the two agree bit for bit:
 
 * :class:`~repro.hashing.rehash.GuidPlacer` — hash, longest-prefix match
-  through a frozen :class:`~repro.bgp.interval_index.IntervalIndex`
-  (exact vs. the trie by construction), re-hash the IP-hole residue with
-  the same function index, deputy-AS fallback for exhausted chains;
+  through the table's :class:`~repro.bgp.interval_index.IntervalIndex`
+  snapshot (exact vs. the trie by construction), re-hash the IP-hole
+  residue with the same function index, deputy-AS fallback for
+  exhausted chains;
 * the :class:`~repro.hashing.asnum_placer.RosterPlacer` variants — hash
   modulo the participant roster (``ASNumberPlacer``) or through the
   cumulative weight distribution (``WeightedASPlacer``), each with its
@@ -21,11 +22,11 @@ per replica chain instead of once per *lookup*.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..bgp.interval_index import HOLE, IntervalIndex
+from ..bgp.interval_index import HOLE
 from ..hashing.asnum_placer import RosterPlacer
 from ..hashing.hashers import FastHasher, HashFamily
 from ..hashing.rehash import GuidPlacer
@@ -67,21 +68,19 @@ def _rehash_many(
 
 
 def resolve_batch(
-    placer: GuidPlacer,
-    guid_values: GuidValues,
-    index: Optional[IntervalIndex] = None,
+    placer: GuidPlacer, guid_values: GuidValues
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :meth:`GuidPlacer.resolve_all` over many GUIDs.
 
     Returns ``(asns, attempts, via_deputy)`` of shape ``(n, K)`` — the
     hosting AS per replica chain, the number of hash applications used,
     and the deputy-fallback flag, exactly as the scalar placer computes
-    them.  ``index`` is a frozen snapshot of ``placer.table``; the batch
-    is only valid while the table does not mutate (BGP churn requires the
+    them against ``placer.table`` as it stands now (its
+    :meth:`~repro.bgp.table.GlobalPrefixTable.interval_index`); the batch
+    is only valid until the table next mutates (BGP churn requires the
     scalar oracle).
     """
-    if index is None:
-        index = placer.table.build_interval_index()
+    index = placer.table.interval_index()
     values = (
         guid_values
         if isinstance(guid_values, np.ndarray)
@@ -131,9 +130,7 @@ def _roster_batch(placer: RosterPlacer, values: List[int]) -> np.ndarray:
 
 
 def batch_resolutions(
-    placer: Placer,
-    guid_values: GuidValues,
-    index: Optional[IntervalIndex] = None,
+    placer: Placer, guid_values: GuidValues
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(asns, hash_attempts, via_deputy)`` for many GUIDs, shape ``(n, K)``.
 
@@ -143,6 +140,6 @@ def batch_resolutions(
     """
     values = [int(v) for v in guid_values]
     if isinstance(placer, GuidPlacer):
-        return resolve_batch(placer, values, index)
+        return resolve_batch(placer, values)
     asns = _roster_batch(placer, values)
     return asns, np.ones_like(asns), np.zeros(asns.shape, dtype=bool)

@@ -30,7 +30,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .engine import BatchLookupResult, FastpathEngine, GuidBatch
+from .engine import (
+    BatchLookupResult,
+    FastpathEngine,
+    GuidBatch,
+    cut_at_groups,
+    source_groups,
+)
 
 #: (engine, batch) inherited by forked workers; set only around a Pool run.
 _SHARED: Optional[Tuple[FastpathEngine, GuidBatch]] = None
@@ -61,19 +67,10 @@ def _shard_rows(sources: np.ndarray, n_shards: int) -> List[np.ndarray]:
     """Split row indices into ≤ ``n_shards`` row-balanced shards, cutting
     only at source-AS group boundaries (each group needs its Dijkstra row
     in exactly one worker)."""
-    order = np.argsort(sources, kind="stable")
-    sorted_src = sources[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_src[1:] != sorted_src[:-1]])
-    n_groups = len(boundaries)
-    n_shards = max(1, min(n_shards, n_groups))
-    # Cut the group-start offsets at evenly spaced row targets: groups are
-    # contiguous in `order`, so each shard is one slice of it.
-    targets = (np.arange(1, n_shards) * len(sources)) // n_shards
-    cut_idx = np.searchsorted(boundaries, targets, side="left")
-    cuts = np.unique(boundaries[np.clip(cut_idx, 0, n_groups - 1)])
-    starts = np.r_[0, cuts[cuts > 0]]
-    ends = np.r_[starts[1:], len(sources)]
-    return [order[s:e] for s, e in zip(starts, ends) if e > s]
+    order, edges = source_groups(sources)
+    n_shards = max(1, min(n_shards, len(edges) - 1))
+    cuts = cut_at_groups(edges, (np.arange(1, n_shards) * len(sources)) // n_shards)
+    return [order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def run_sharded(

@@ -331,7 +331,7 @@ def _diff_lpm(scenario: Scenario, analytic: PathResult) -> Tuple[List[Mismatch],
     if not announcements:
         return [], 0
     seed = scenario.config.seed
-    index = table.build_interval_index()
+    index = table.interval_index()
     bases = np.array([ann.prefix.base for ann in announcements], dtype=np.uint64)
     lengths = np.array([ann.prefix.length for ann in announcements], dtype=np.int64)
     owners = np.array([ann.asn for ann in announcements], dtype=np.int64)

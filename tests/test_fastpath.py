@@ -27,10 +27,14 @@ from repro.fastpath import (
     batch_resolutions,
     resolve_batch,
 )
+from repro.fastpath import engine as engine_module
+from repro.fastpath.engine import cut_at_groups, source_groups
 from repro.fastpath.runner import _shard_rows, run_sharded
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
 from repro.hashing.hashers import FastHasher, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
+from repro.obs import CollectingTracer
+from repro.obs.export import dumps_traces
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 N_GUIDS = 40
@@ -98,7 +102,7 @@ def _assert_lookup_parity(resolver, result, guids, guid_idx, sources,
 
 
 # ----------------------------------------------------------------------
-# Converged, failure-free lane
+# No availability model: every replica answers
 # ----------------------------------------------------------------------
 class TestFailureFreeEquivalence:
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -144,7 +148,7 @@ class TestFailureFreeEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Availability lane (churn staleness, dead replicas, dead queriers)
+# Availability models (churn staleness, dead replicas, dead queriers)
 # ----------------------------------------------------------------------
 class _Model:
     """Deterministic per-(AS, GUID) availability — a pure function."""
@@ -221,6 +225,86 @@ class TestAvailabilityEquivalence:
         )
         assert np.array_equal(as_model.rtt_ms, as_probe.rtt_ms)
         assert np.array_equal(as_model.attempts, as_probe.attempts)
+
+
+# ----------------------------------------------------------------------
+# Block loop: many blocks, groups straddling the nominal block edges
+# ----------------------------------------------------------------------
+TINY_BLOCK = 7
+
+
+class TestBlockLoop:
+    @staticmethod
+    def _sources(asns, gidx, batch, rng):
+        """Three heavy querier ASs (groups far larger than a block), light
+        ones that share blocks, and rows from the GUID's own local AS."""
+        heavy = rng.choice(asns, size=3, replace=False)
+        srcs = np.where(
+            rng.random(len(gidx)) < 0.5,
+            heavy[rng.integers(0, 3, size=len(gidx))],
+            rng.choice(asns, size=len(gidx)),
+        )
+        srcs[::5] = batch.local_asns[gidx[::5]]
+        return srcs, heavy
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("local", [True, False])
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_tiny_blocks_match_scalar(self, monkeypatch, base_table, router,
+                                      asns, k, local, with_model):
+        monkeypatch.setattr(engine_module, "BLOCK_ROWS", TINY_BLOCK)
+        resolver, engine, batch, gidx, _, guids = _deploy(
+            base_table, router, asns, k=k, local=local, seed=1000 + k
+        )
+        rng = np.random.default_rng(2000 + k)
+        srcs, heavy = self._sources(asns, gidx, batch, rng)
+
+        # The stream really exercises the block cutter.
+        _, edges = source_groups(srcs)
+        targets = np.arange(TINY_BLOCK, len(srcs), TINY_BLOCK)
+        cuts = cut_at_groups(edges, targets)
+        assert len(cuts) > 3
+        assert any(
+            np.searchsorted(edges, hi) - np.searchsorted(edges, lo) > 1
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        )  # some block holds several groups
+        assert len(np.setdiff1d(targets, edges))  # a group straddles a target
+
+        model = _Model(down_asns=heavy[:1]) if with_model else None
+        probe = model.lookup_outcome if with_model else None
+        is_down = model.is_down if with_model else None
+        resolver.tracer = CollectingTracer()
+        engine.tracer = CollectingTracer()
+        keyed = []
+        selection_keys = engine._selection_keys
+
+        def record_keys(src, cand_idx):
+            keyed.append(src)
+            return selection_keys(src, cand_idx)
+
+        monkeypatch.setattr(engine, "_selection_keys", record_keys)
+        result = engine.lookup_batch(batch, gidx, srcs, availability=model)
+        # Blocks never split a group: one Dijkstra row request per source.
+        assert sorted(keyed) == sorted(set(srcs.tolist()))
+        _assert_lookup_parity(
+            resolver, result, guids, gidx, srcs, probe=probe, is_down=is_down
+        )
+        if local:
+            assert result.used_local.any()
+        assert dumps_traces(engine.tracer.traces) == dumps_traces(
+            resolver.tracer.traces
+        )
+
+    def test_block_cuts_fall_on_group_edges(self):
+        sources = np.array([7, 3, 7, 3, 9, 9, 9, 1, 3, 7, 9, 9])
+        order, edges = source_groups(sources)
+        assert edges.tolist() == [0, 1, 4, 7, 12]
+        cuts = cut_at_groups(edges, np.array([2, 5, 6]))
+        assert cuts.tolist() == [0, 4, 7, 12]
+        assert sources[order].tolist() == sorted(sources.tolist())
+        _, empty_edges = source_groups(np.array([], dtype=np.int64))
+        assert empty_edges.tolist() == [0]
+        assert cut_at_groups(empty_edges, np.array([], dtype=np.int64)).tolist() == [0]
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +387,8 @@ class TestBatchPlacement:
             0, np.iinfo(np.uint64).max, size=2000, dtype=np.uint64
         )
         hasher = FastHasher(5, address_bits=base_table.bits, seed=0)
-        index = base_table.build_interval_index()
         placer = GuidPlacer(hasher, base_table)
-        fast = resolve_batch(placer, folded, index)
+        fast = resolve_batch(placer, folded)
         listed = batch_resolutions(placer, folded.tolist())
         for a, b in zip(fast, listed):
             assert np.array_equal(a, b)
@@ -335,6 +418,28 @@ class TestBatchPlacement:
             assert asns_m[row].tolist() == [res.asn for res in scalar]
             assert attempts_m[row].tolist() == [res.attempts for res in scalar]
             assert deputy_m[row].tolist() == [res.via_deputy for res in scalar]
+
+
+class TestPlacementTracksTable:
+    def test_index_guids_after_withdraw_matches_scalar(self, table, router):
+        # The engine places against the table as it stands at each call,
+        # not against a snapshot taken at its first call.
+        engine = FastpathEngine(table, router, k=5)
+        rng = np.random.default_rng(51)
+        guids = [
+            GUID(int(v))
+            for v in rng.integers(0, np.iinfo(np.uint64).max, size=300, dtype=np.uint64)
+        ]
+        first = engine.index_guids(guids)
+        asn_values, counts = np.unique(first.placements, return_counts=True)
+        victim = int(asn_values[np.argmax(counts)])
+        for prefix in table.prefixes_of(victim):
+            table.withdraw(prefix)
+        second = engine.index_guids(guids)
+        assert victim not in second.placements
+        assert second.placements.tolist() == [
+            [res.asn for res in engine.placer.resolve_all(g)] for g in guids
+        ]
 
 
 # ----------------------------------------------------------------------

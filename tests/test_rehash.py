@@ -93,8 +93,7 @@ class TestBulkPlacement:
         placer = GuidPlacer(hasher, base_table, max_rehashes=6)
         values = [GUID.from_name(f"b{i}").value for i in range(80)]
         folded = hasher.fold_guids(values)
-        index = base_table.build_interval_index()
-        asns, attempts, via_deputy = resolve_batch(placer, folded, index)
+        asns, attempts, via_deputy = resolve_batch(placer, folded)
         for row, value in enumerate(values):
             for i in range(k):
                 res = placer.resolve_one(value, i)
@@ -106,8 +105,7 @@ class TestBulkPlacement:
         placer = GuidPlacer(FastHasher(5), base_table)
         rng = np.random.default_rng(0)
         folded = rng.integers(0, 2**63, size=2000, dtype=np.uint64)
-        index = base_table.build_interval_index()
-        asns, _attempts, _dep = resolve_batch(placer, folded, index)
+        asns, _attempts, _dep = resolve_batch(placer, folded)
         assert (asns != HOLE).all()
 
     def test_attempt_distribution_geometric(self, base_table):
@@ -115,8 +113,7 @@ class TestBulkPlacement:
         placer = GuidPlacer(FastHasher(1), base_table)
         rng = np.random.default_rng(1)
         folded = rng.integers(0, 2**63, size=30_000, dtype=np.uint64)
-        index = base_table.build_interval_index()
-        _asns, attempts, _dep = resolve_batch(placer, folded, index)
-        ratio = index.announced_fraction()
+        _asns, attempts, _dep = resolve_batch(placer, folded)
+        ratio = base_table.interval_index().announced_fraction()
         frac_two_plus = float((attempts > 1).mean())
         assert frac_two_plus == pytest.approx(1.0 - ratio, abs=0.02)

@@ -1,9 +1,10 @@
-"""The lookup rules are written once: structural and lane-equivalence guards.
+"""The lookup rules are written once: structural and rule-level guards.
 
 The scalar resolver, the fastpath engine, the DES and the live client
 execute one protocol.  Its decisions live in single functions —
 :func:`repro.core.resolver.adaptive_timeout_ms` (§III-D.3),
-:func:`repro.core.resolver.local_branch` (§III-C),
+:func:`repro.core.resolver.local_branch` and
+:func:`repro.core.resolver.race_verdict` (§III-C),
 :func:`repro.obs.trace.build_query_trace` and Algorithm 1's placement
 chain (:meth:`repro.hashing.rehash.GuidPlacer.resolve_one` and its
 vectorized form :func:`repro.fastpath.placement.resolve_batch`) — and
@@ -20,7 +21,12 @@ import numpy as np
 import pytest
 
 from repro.core.guid import GUID, NetworkAddress
-from repro.core.resolver import OUTCOME_HIT, DMapResolver, adaptive_timeout_ms
+from repro.core.resolver import (
+    OUTCOME_HIT,
+    DMapResolver,
+    adaptive_timeout_ms,
+    race_verdict,
+)
 from repro.fastpath import FastpathEngine
 from repro.obs import CollectingTracer
 from repro.obs.export import dumps_traces
@@ -104,6 +110,14 @@ class TestOneDefinition:
         )
         assert sites == []
 
+    def test_race_verdict_is_reached_once_per_engine(self):
+        # The scalar oracle and the fastpath block call the one rule.
+        sites = _sites(lambda call: _call_name(call) == "race_verdict")
+        assert sorted(sites) == [
+            ("core/resolver.py", "lookup"),
+            ("fastpath/engine.py", "_lookup_block"),
+        ]
+
     def test_adaptive_timeout_scalar_and_array(self):
         scalar = adaptive_timeout_ms(1000.0, 700.0)
         assert type(scalar) is float and scalar == 1400.0
@@ -140,8 +154,8 @@ def _fastpath_traces(base_table, router, asns, k, local, availability, seed):
     return dumps_traces(tracer.traces)
 
 
-class TestConvergedLaneIsTheWalkLane:
-    """With every replica answering, both fastpath lanes trace identically."""
+class TestNoModelIsAllHitModel:
+    """No availability model traces exactly like a model where all hit."""
 
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("local", [True, False])
@@ -149,8 +163,50 @@ class TestConvergedLaneIsTheWalkLane:
         def all_hit(asn, guid):
             return OUTCOME_HIT
 
-        converged = _fastpath_traces(base_table, router, asns, k, local, None, 40 + k)
-        walk = _fastpath_traces(base_table, router, asns, k, local, all_hit, 40 + k)
-        assert converged == walk
+        no_model = _fastpath_traces(base_table, router, asns, k, local, None, 40 + k)
+        modelled = _fastpath_traces(base_table, router, asns, k, local, all_hit, 40 + k)
+        assert no_model == modelled
         if local:
-            assert '"used_local":true' in converged
+            assert '"used_local":true' in no_model
+
+
+#: ``(local_hit, local_end, launched, global_hit, walk_ms)`` ->
+#: ``(used_local, rtt_ms)``: every branch of the §III-C verdict.
+RACE_CASES = [
+    # The local reply wins ties, and beats a slower global hit.
+    ((True, 3.0, True, True, 3.0), (True, 3.0)),
+    ((True, 3.0, True, True, 9.0), (True, 3.0)),
+    # A faster global hit beats the local reply.
+    ((True, 3.0, True, True, 2.0), (False, 2.0)),
+    # Global miss with a local hit: the local reply serves, even late.
+    ((True, 3.0, True, False, 1.5), (True, 3.0)),
+    # Global hit, local branch launched but missing or not launched.
+    ((False, 3.0, True, True, 9.0), (False, 9.0)),
+    ((False, 3.0, False, True, 1.0), (False, 1.0)),
+    # Both fail: the later branch ends the lookup when it was launched...
+    ((False, 3.0, True, False, 1.5), (False, 3.0)),
+    ((False, 3.0, True, False, 7.5), (False, 7.5)),
+    # ...and the failed walk alone when it was not.
+    ((False, 3.0, False, False, 1.5), (False, 1.5)),
+]
+
+
+class TestRaceVerdict:
+    @pytest.mark.parametrize("inputs, expected", RACE_CASES)
+    def test_scalar_truth_table(self, inputs, expected):
+        used_local, rtt_ms = race_verdict(*inputs)
+        assert type(used_local) is bool and type(rtt_ms) is float
+        assert (used_local, rtt_ms) == expected
+
+    def test_array_matches_scalar_elementwise(self):
+        columns = list(zip(*(inputs for inputs, _ in RACE_CASES)))
+        local_hit, local_end, launched, global_hit, walk_ms = (
+            np.asarray(col) for col in columns
+        )
+        used_local, rtt_ms = race_verdict(
+            local_hit, local_end, launched, global_hit, walk_ms
+        )
+        assert isinstance(used_local, np.ndarray)
+        assert isinstance(rtt_ms, np.ndarray)
+        assert used_local.tolist() == [exp[0] for _, exp in RACE_CASES]
+        assert rtt_ms.tolist() == [exp[1] for _, exp in RACE_CASES]

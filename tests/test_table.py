@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bgp.interval_index import HOLE
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
 from repro.core.guid import NetworkAddress
@@ -102,3 +103,18 @@ class TestCopy:
         # Snapshot does not follow later withdrawals.
         small_table.withdraw(Prefix.from_cidr("44.0.0.0/8"))
         assert idx.lookup_one(Prefix.from_cidr("44.1.0.0/16").base) == 101
+
+    def test_interval_index_follows_table_version(self, small_table):
+        probe = Prefix.from_cidr("44.1.0.0/16").base
+        idx = small_table.interval_index()
+        # An unchanged table serves the same snapshot.
+        assert small_table.interval_index() is idx
+        small_table.withdraw(Prefix.from_cidr("44.0.0.0/8"))
+        withdrawn = small_table.interval_index()
+        assert withdrawn is not idx
+        assert withdrawn.lookup_one(probe) == HOLE
+        small_table.announce(ann("44.0.0.0/8", 7))
+        announced = small_table.interval_index()
+        assert announced is not withdrawn
+        assert announced.lookup_one(probe) == 7
+        assert small_table.interval_index() is announced

@@ -105,7 +105,7 @@ def _assert_streams_byte_identical(scalar_traces, fast_traces):
 
 
 class TestConvergedEquivalence:
-    """Failure-free lane: every replica answers."""
+    """No availability model: every replica answers."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("local", [True, False])
@@ -135,7 +135,7 @@ class TestConvergedEquivalence:
 
 
 class TestAvailabilityEquivalence:
-    """Walk lane: misses, timeouts, dead queriers, failures."""
+    """Availability models: misses, timeouts, dead queriers, failures."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("local", [True, False])
