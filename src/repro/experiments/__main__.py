@@ -73,8 +73,8 @@ def main(argv: Optional[list] = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the fastpath shard runner (fig4 only; "
-        "default 1, 0 = all cores)",
+        help="worker processes for the fastpath shard runner (fig4 with "
+        "--engine fastpath only; default 1, 0 = all cores)",
     )
     parser.add_argument(
         "--trace",
@@ -90,8 +90,8 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"unknown experiment {args.experiment!r}")
     if args.trace is not None and name != "fig4":
         parser.error("--trace is only supported by fig4")
-    if args.jobs is not None and name != "fig4":
-        parser.error("--jobs is only supported by fig4")
+    if args.jobs is not None and (name != "fig4" or args.engine != "fastpath"):
+        parser.error("--jobs is only supported by fig4 --engine fastpath")
     if args.engine is not None and name not in ("fig4", "fig6"):
         parser.error(f"--engine is not supported by {name!r}")
     if args.jobs == 0:

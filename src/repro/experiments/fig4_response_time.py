@@ -18,14 +18,19 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..core.resolver import DMapResolver
+from ..errors import ConfigurationError
+from ..fastpath.engine import FastpathEngine, LookupStream
 from ..sim.metrics import LatencySummary, summarize
 from ..sim.simulation import DMapSimulation
-from ..workload.generator import WorkloadConfig, WorkloadGenerator
+from ..workload.generator import EventKind, WorkloadConfig, WorkloadGenerator
 from .common import Environment, get_environment
 from .reporting import ascii_cdf, format_cdf_table, format_table, percentile_row
 
 #: The K values of Fig. 4.
 FIG4_K_VALUES = (1, 3, 5)
+
+#: The replays ``run_fig4`` can pick.
+FIG4_ENGINES = ("scalar", "fastpath", "simulation")
 
 
 @dataclass
@@ -72,7 +77,6 @@ def run_fig4(
     scale: Optional[str] = None,
     k_values: Sequence[int] = FIG4_K_VALUES,
     seed: int = 0,
-    use_simulation: bool = False,
     local_replica: bool = True,
     selection_policy: str = "latency",
     environment: Optional[Environment] = None,
@@ -83,13 +87,13 @@ def run_fig4(
 ) -> Fig4Result:
     """Run the Fig. 4 experiment.
 
-    ``use_simulation`` replays the workload through the discrete-event
-    engine instead of the (equivalent, faster) instant resolver;
-    ``local_replica`` and ``selection_policy`` expose the paper's §III-C
-    and §IV-B.2a design knobs for ablation.  ``engine="fastpath"``
-    batches the lookup pipeline through
-    :class:`~repro.fastpath.engine.FastpathEngine` (bit-identical RTTs;
-    ``n_jobs`` shards source-AS groups across processes).
+    ``engine`` picks the replay: ``"scalar"`` (the instant resolver),
+    ``"fastpath"`` (the batched
+    :class:`~repro.fastpath.engine.FastpathEngine`, bit-identical RTTs;
+    ``n_jobs`` shards source-AS groups across processes) or
+    ``"simulation"`` (the discrete-event engine).  ``local_replica`` and
+    ``selection_policy`` expose the paper's §III-C and §IV-B.2a design
+    knobs for ablation.
 
     ``trace_path`` writes a canonical JSONL per-query trace file there
     (plus a run manifest at ``<trace_path>.manifest.json``), from which
@@ -101,11 +105,22 @@ def run_fig4(
     from ..obs.manifest import RunManifest, manifest_path_for
     from ..obs.trace import NULL_TRACER, CollectingTracer
 
+    if engine not in FIG4_ENGINES:
+        raise ConfigurationError(
+            f"unknown fig4 engine {engine!r} (expected one of {FIG4_ENGINES})"
+        )
+    if n_jobs > 1 and engine != "fastpath":
+        raise ConfigurationError("n_jobs > 1 needs engine='fastpath'")
     env = environment or get_environment(scale, seed)
     workload_config = workload_override or WorkloadConfig(
         n_guids=env.scale.n_guids, n_lookups=env.scale.n_lookups, seed=seed
     )
     workload = WorkloadGenerator(env.topology, workload_config).generate()
+    if engine == "fastpath":
+        stream = LookupStream.from_ops(
+            (e.kind is EventKind.LOOKUP, e.guid, e.source_asn, e.time_ms)
+            for e in workload.events
+        )
 
     tracing = trace_path is not None
     tracer = CollectingTracer() if tracing else NULL_TRACER
@@ -117,7 +132,7 @@ def run_fig4(
             "scale": env.scale.name,
             "seed": seed,
             "k_values": list(k_values),
-            "engine": "simulation" if use_simulation else engine,
+            "engine": engine,
             "local_replica": local_replica,
             "selection_policy": selection_policy,
             "n_guids": workload_config.n_guids,
@@ -130,7 +145,7 @@ def run_fig4(
     failed_by_k: Dict[int, int] = {}
     for k in k_values:
         with manifest.phase(f"k={k}"):
-            if use_simulation:
+            if engine == "simulation":
                 sim = DMapSimulation(
                     env.topology,
                     env.table,
@@ -146,6 +161,24 @@ def run_fig4(
                 rtts_by_k[k] = sim.metrics.rtts()
                 local_hits[k] = sim.metrics.local_hit_fraction()
                 failed_by_k[k] = len(sim.metrics.failed)
+                continue
+            if engine == "fastpath":
+                fast = FastpathEngine(
+                    env.table,
+                    env.router,
+                    k=k,
+                    local_replica=local_replica,
+                    selection_policy=selection_policy,
+                    tracer=tracer,
+                )
+                batch = fast.index_guids(stream.guids, stream.local_asns)
+                rtts = fast.lookup_batch(
+                    batch,
+                    stream.guid_idx,
+                    stream.sources,
+                    n_jobs=n_jobs,
+                    issued_at=stream.issued_at,
+                ).rtt_ms
             else:
                 resolver = DMapResolver(
                     env.table,
@@ -155,15 +188,13 @@ def run_fig4(
                     selection_policy=selection_policy,
                     tracer=tracer,
                 )
-                rtts = workload.run_through_resolver(
-                    resolver, env.table, engine=engine, n_jobs=n_jobs
-                )
-                rtts_by_k[k] = np.asarray(rtts, dtype=float)
-                local_hits[k] = float("nan")
-                # The instant resolver retries whole replica-set rounds
-                # until the lookup succeeds, so this path records no
-                # failures.
-                failed_by_k[k] = 0
+                rtts = workload.run_through_resolver(resolver, env.table)
+            rtts_by_k[k] = np.asarray(rtts, dtype=float)
+            local_hits[k] = float("nan")
+            # Both instant engines model converged lookups (the scalar
+            # one retries whole replica-set rounds until it succeeds),
+            # so they record no failures.
+            failed_by_k[k] = 0
     if tracing:
         with manifest.phase("export"):
             count = write_traces(trace_path, tracer.traces)

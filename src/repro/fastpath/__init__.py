@@ -18,18 +18,25 @@ arrays:
   runner that splits source-AS groups across workers for paper scale.
 
 The scalar resolver remains the semantic *oracle*: the engine is checked
-against it per query (bit-identical chosen replicas, 1e-9-relative RTTs)
-in ``tests/test_fastpath.py`` and continuously by the
-``repro.validation`` differential harness's fastpath lane.
+against it per query (exact RTTs, chosen replicas and attempt counts) in
+``tests/test_fastpath.py`` and continuously by the ``repro.validation``
+differential harness's fastpath lane, which compares every lookup's
+trace byte for byte.
 """
 
-from .engine import BatchLookupResult, FastpathEngine, FastpathUnsupportedError
+from .engine import (
+    BatchLookupResult,
+    FastpathEngine,
+    FastpathUnsupportedError,
+    LookupStream,
+)
 from .placement import batch_resolutions, resolve_batch
 
 __all__ = [
     "BatchLookupResult",
     "FastpathEngine",
     "FastpathUnsupportedError",
+    "LookupStream",
     "batch_resolutions",
     "resolve_batch",
 ]

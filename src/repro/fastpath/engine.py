@@ -37,7 +37,7 @@ Deliberate limits (the scalar resolver stays the oracle):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,21 +85,6 @@ _CODE_OUTCOMES = {code: name for name, code in _OUTCOME_CODES.items()}
 
 class FastpathUnsupportedError(DMapError):
     """The requested configuration needs the scalar oracle."""
-
-
-class _ProbeAdapter:
-    """Wrap a bare ``(asn, guid) -> outcome`` probe as a failure model."""
-
-    def __init__(self, probe: Callable[[int, GUID], str]) -> None:
-        self._probe = probe
-
-    def lookup_outcome(self, asn: int, guid: GUID) -> str:
-        """Fate of a global lookup arriving at ``asn``."""
-        return self._probe(asn, guid)
-
-    def is_down(self, asn: int) -> bool:
-        """Bare probes cannot mark a querier's own AS as down."""
-        return False
 
 
 @dataclass
@@ -154,6 +139,69 @@ class BatchLookupResult:
         return len(self.rtt_ms)
 
 
+@dataclass
+class LookupStream:
+    """An insert-then-lookup op stream as the engine's input arrays.
+
+    ``guids`` are the written GUIDs in first-write order (the rows of
+    :meth:`FastpathEngine.index_guids`) and ``local_asns`` the source AS
+    of each one's last write (its §III-C local copy).  ``writes`` holds
+    one ``(guid_idx, source)`` row per write, for
+    :meth:`FastpathEngine.write_rtts`; ``guid_idx``/``sources``/
+    ``issued_at`` one row per lookup, for
+    :meth:`FastpathEngine.lookup_batch`.  Rows keep stream order.
+    """
+
+    guids: List[Hashable]
+    local_asns: np.ndarray
+    writes: np.ndarray
+    guid_idx: np.ndarray
+    sources: np.ndarray
+    issued_at: np.ndarray
+
+    @classmethod
+    def from_ops(
+        cls, ops: Iterable[Tuple[bool, Hashable, int, float]]
+    ) -> "LookupStream":
+        """Convert ``(is_lookup, guid, source_asn, time_ms)`` tuples.
+
+        The engine computes against the converged post-write state, so
+        every write must precede every lookup and every lookup must name
+        a written GUID; other streams need the scalar resolver and raise
+        :class:`FastpathUnsupportedError`.
+        """
+        order: Dict[Hashable, int] = {}
+        last_source: Dict[int, int] = {}  # insertion order: first write
+        writes: List[Tuple[int, int]] = []
+        lookup_idx: List[int] = []
+        lookup_src: List[int] = []
+        lookup_at: List[float] = []
+        for is_lookup, guid, source, time_ms in ops:
+            if not is_lookup:
+                if lookup_idx:
+                    raise FastpathUnsupportedError(
+                        "writes interleaved with lookups need the scalar resolver"
+                    )
+                idx = order.setdefault(guid, len(order))
+                last_source[idx] = source
+                writes.append((idx, source))
+                continue
+            idx = order.get(guid)
+            if idx is None:
+                raise FastpathUnsupportedError(f"lookup of never-written GUID {guid}")
+            lookup_idx.append(idx)
+            lookup_src.append(source)
+            lookup_at.append(time_ms)
+        return cls(
+            list(order),
+            np.asarray(list(last_source.values()), dtype=np.int64),
+            np.asarray(writes, dtype=np.int64).reshape(-1, 2),
+            np.asarray(lookup_idx, dtype=np.int64),
+            np.asarray(lookup_src, dtype=np.int64),
+            np.asarray(lookup_at, dtype=np.float64),
+        )
+
+
 class FastpathEngine:
     """Vectorized twin of :class:`~repro.core.resolver.DMapResolver`.
 
@@ -190,19 +238,6 @@ class FastpathEngine:
         self.timeout_ms = timeout_ms
         # Explicit None check: an empty CollectingTracer is falsy (len 0).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    @classmethod
-    def from_resolver(cls, resolver) -> "FastpathEngine":
-        """Build an engine sharing a resolver's exact configuration."""
-        return cls(
-            resolver.table,
-            resolver.router,
-            selection_policy=resolver.selector.policy,
-            local_replica=resolver.local_replica,
-            timeout_ms=resolver.timeout_ms,
-            placer=resolver.placer,
-            tracer=resolver.tracer,
-        )
 
     @property
     def k(self) -> int:
@@ -273,11 +308,11 @@ class FastpathEngine:
         """Resolve many lookups; row ``i`` queries ``batch.guids[guid_idx[i]]``
         from AS ``sources[i]``.
 
-        ``availability`` is either a failure model exposing
-        ``lookup_outcome(asn, guid)`` / ``is_down(asn)`` (as in
-        :mod:`repro.validation.scenarios`) or a bare probe callable; it
-        must be deterministic per (AS, GUID) so batch evaluation order
-        cannot change outcomes.  ``n_jobs > 1`` shards source-AS groups
+        ``availability`` is a failure model exposing
+        ``lookup_outcome(asn, guid)`` / ``is_down(asn)``
+        (:class:`repro.sim.failures.FailureModel`); it must be
+        deterministic per (AS, GUID) so batch evaluation order cannot
+        change outcomes.  ``n_jobs > 1`` shards source-AS groups
         across worker processes (availability-free workloads only).
         ``issued_at`` stamps each lookup's issue time onto its emitted
         trace (tracing only; the arithmetic itself is time-free).
@@ -286,11 +321,8 @@ class FastpathEngine:
         sources = np.asarray(sources, dtype=np.int64)
         if guid_idx.shape != sources.shape or guid_idx.ndim != 1:
             raise ConfigurationError("guid_idx and sources must be 1-D and aligned")
-        model = availability
-        if model is not None and not hasattr(model, "lookup_outcome"):
-            model = _ProbeAdapter(model)
         if n_jobs > 1:
-            if model is not None:
+            if availability is not None:
                 raise FastpathUnsupportedError(
                     "sharded execution supports availability-free workloads only"
                 )
@@ -302,7 +334,7 @@ class FastpathEngine:
             from .runner import run_sharded
 
             return run_sharded(self, batch, guid_idx, sources, n_jobs)
-        return self._lookup_serial(batch, guid_idx, sources, model, issued_at)
+        return self._lookup_serial(batch, guid_idx, sources, availability, issued_at)
 
     def _lookup_serial(
         self,

@@ -5,8 +5,8 @@ portion of its :mod:`repro.workload` stream at a target QPS: query ``i``
 is *launched* at wire time ``i / qps`` regardless of how earlier queries
 are faring (open loop — the honest way to measure a serving system,
 since a closed loop self-throttles exactly when the system degrades).
-Reports sustained throughput and the virtual-millisecond latency
-percentiles that land in ``BENCH_net.json``.
+Reports goodput (successful lookups/s), completed lookups/s and the
+virtual-millisecond latency percentiles that land in ``BENCH_net.json``.
 """
 
 from __future__ import annotations
@@ -48,14 +48,15 @@ class BenchReport:
     """What one load-generation run measured.
 
     Latencies are *virtual* milliseconds (comparable to the analytic
-    Fig. 4 axis); throughputs are wire queries per wall-clock second.
+    Fig. 4 axis); throughputs are wire queries per wall-clock second:
+    ``goodput_qps`` counts successful lookups only, ``completed_qps``
+    every lookup that finished, failed or not.
     """
 
     n_queries: int
     n_success: int
     n_failed: int
     offered_qps: float
-    achieved_qps: float
     wall_s: float
     time_scale: float
     mean_ms: float
@@ -68,6 +69,14 @@ class BenchReport:
     def success_rate(self) -> float:
         return self.n_success / self.n_queries if self.n_queries else 0.0
 
+    @property
+    def goodput_qps(self) -> float:
+        return self.n_success / self.wall_s if self.wall_s > 0 else 0.0
+
+    @property
+    def completed_qps(self) -> float:
+        return self.n_queries / self.wall_s if self.wall_s > 0 else 0.0
+
     def as_dict(self) -> Dict[str, object]:
         """JSON-serializable report (the ``BENCH_net.json`` schema)."""
         return {
@@ -76,7 +85,8 @@ class BenchReport:
             "n_failed": self.n_failed,
             "success_rate": self.success_rate,
             "offered_qps": self.offered_qps,
-            "achieved_qps": self.achieved_qps,
+            "goodput_qps": self.goodput_qps,
+            "completed_qps": self.completed_qps,
             "wall_s": self.wall_s,
             "time_scale": self.time_scale,
             "latency_virtual_ms": {
@@ -92,8 +102,9 @@ class BenchReport:
         return (
             f"{self.n_queries} queries, {self.n_success} ok "
             f"({100.0 * self.success_rate:.2f}%) | "
-            f"offered {self.offered_qps:.0f} qps, sustained "
-            f"{self.achieved_qps:.0f} qps over {self.wall_s:.2f}s | "
+            f"offered {self.offered_qps:.0f} qps, goodput "
+            f"{self.goodput_qps:.0f} qps, completed {self.completed_qps:.0f} "
+            f"qps over {self.wall_s:.2f}s | "
             f"virtual-ms p50={self.p50_ms:.1f} p90={self.p90_ms:.1f} "
             f"p99={self.p99_ms:.1f} max={self.max_ms:.1f}"
         )
@@ -150,7 +161,6 @@ async def run_loadgen(
         n_success=len(latencies),
         n_failed=failed,
         offered_qps=config.qps,
-        achieved_qps=len(lookups) / wall_s if wall_s > 0 else 0.0,
         wall_s=wall_s,
         time_scale=cluster.shaper.time_scale,
         mean_ms=sum(latencies) / len(latencies) if latencies else 0.0,

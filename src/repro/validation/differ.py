@@ -11,6 +11,8 @@ environment artifact.
 Per-lookup outcomes are matched by issue time (unique per operation) and
 compared field by field; RTTs are compared with a tolerance because the
 DES accumulates the same latency terms in a different association order.
+The fastpath lane (no-churn scenarios) is exact: each lookup's canonical
+trace line must equal the analytic one byte for byte.
 The final storage state, the two prefix tables, and a three-way LPM
 sweep (trie / interval index / flat scan) complete the diff.
 """
@@ -29,15 +31,12 @@ from ..core.consistency import handle_new_announcement, prepare_withdrawal
 from ..core.guid import GUID
 from ..core.resolver import DMapResolver
 from ..errors import LookupFailedError
-from ..fastpath import FastpathEngine
+from ..fastpath import FastpathEngine, LookupStream
+from ..obs.export import dumps_trace
 from ..obs.trace import CollectingTracer, QueryTrace
 from ..sim.simulation import DMapSimulation
 from .report import (
-    KIND_FASTPATH_ATTEMPTS,
-    KIND_FASTPATH_RTT,
-    KIND_FASTPATH_SERVED_BY,
-    KIND_FASTPATH_SUCCESS,
-    KIND_FASTPATH_USED_LOCAL,
+    KIND_FASTPATH_TRACE,
     KIND_FASTPATH_WRITE_RTT,
     KIND_LOOKUP_ATTEMPTS,
     KIND_LOOKUP_LOST,
@@ -69,20 +68,13 @@ _ABS_TOL = 1e-6
 #: Domain separation for the LPM probe-address stream.
 _LPM_STREAM = 0x1B4D
 
-#: Per-field mismatch kinds for the DES lane and the fastpath lane.
-_SIM_LOOKUP_KINDS = {
+#: DES-lane lookup fields, in comparison order, with their mismatch kinds.
+_LOOKUP_KINDS = {
     "success": KIND_LOOKUP_SUCCESS,
     "served_by": KIND_LOOKUP_SERVED_BY,
     "used_local": KIND_LOOKUP_USED_LOCAL,
     "attempts": KIND_LOOKUP_ATTEMPTS,
     "rtt_ms": KIND_LOOKUP_RTT,
-}
-_FASTPATH_LOOKUP_KINDS = {
-    "success": KIND_FASTPATH_SUCCESS,
-    "served_by": KIND_FASTPATH_SERVED_BY,
-    "used_local": KIND_FASTPATH_USED_LOCAL,
-    "attempts": KIND_FASTPATH_ATTEMPTS,
-    "rtt_ms": KIND_FASTPATH_RTT,
 }
 
 
@@ -393,8 +385,6 @@ def _trace_pair(
     ours: Optional[QueryTrace], theirs: Optional[QueryTrace]
 ) -> str:
     """Both sides' compact provenance, for a divergence bundle's detail."""
-    if ours is None and theirs is None:
-        return ""
     left = ours.compact() if ours is not None else "-"
     right = theirs.compact() if theirs is not None else "-"
     return f"ours[{left}] theirs[{right}]"
@@ -405,66 +395,23 @@ def _diff_lookup(
     subject: str,
     ours: LookupOutcome,
     theirs: LookupOutcome,
-    kinds: Dict[str, str] = _SIM_LOOKUP_KINDS,
     trace_detail: str = "",
 ) -> List[Mismatch]:
+    """DES lane: one lookup field by field, RTTs within tolerance."""
     mismatches: List[Mismatch] = []
-    if ours.success != theirs.success:
+    for name, kind in _LOOKUP_KINDS.items():
+        left, right = getattr(ours, name), getattr(theirs, name)
+        if name == "rtt_ms":
+            if _close(left, right):
+                continue
+            left, right = f"{left:.6f}", f"{right:.6f}"
+        elif left == right:
+            continue
         mismatches.append(
-            Mismatch(
-                seed,
-                kinds["success"],
-                subject,
-                str(ours.success),
-                str(theirs.success),
-                detail=trace_detail,
-            )
+            Mismatch(seed, kind, subject, str(left), str(right), detail=trace_detail)
         )
-        return mismatches  # dependent fields are meaningless on disagreement
-    if ours.served_by != theirs.served_by:
-        mismatches.append(
-            Mismatch(
-                seed,
-                kinds["served_by"],
-                subject,
-                str(ours.served_by),
-                str(theirs.served_by),
-                detail=trace_detail,
-            )
-        )
-    if ours.used_local != theirs.used_local:
-        mismatches.append(
-            Mismatch(
-                seed,
-                kinds["used_local"],
-                subject,
-                str(ours.used_local),
-                str(theirs.used_local),
-                detail=trace_detail,
-            )
-        )
-    if ours.attempts != theirs.attempts:
-        mismatches.append(
-            Mismatch(
-                seed,
-                kinds["attempts"],
-                subject,
-                str(ours.attempts),
-                str(theirs.attempts),
-                detail=trace_detail,
-            )
-        )
-    if not _close(ours.rtt_ms, theirs.rtt_ms):
-        mismatches.append(
-            Mismatch(
-                seed,
-                kinds["rtt_ms"],
-                subject,
-                f"{ours.rtt_ms:.6f}",
-                f"{theirs.rtt_ms:.6f}",
-                detail=trace_detail,
-            )
-        )
+        if name == "success":
+            break  # dependent fields are meaningless on disagreement
     return mismatches
 
 
@@ -482,14 +429,11 @@ def fastpath_supported(scenario: Scenario) -> bool:
 
 def run_fastpath(
     scenario: Scenario,
-) -> Tuple[
-    Dict[float, LookupOutcome], Dict[float, float], Dict[float, QueryTrace]
-]:
+) -> Tuple[Dict[float, float], Dict[float, QueryTrace]]:
     """Replay a (no-churn) trace through the batched fastpath engine.
 
-    Returns per-lookup outcomes, per-write RTTs, and per-lookup traces
-    keyed by issue time, shaped exactly like the analytic
-    :class:`PathResult` fields so the same comparison code applies.
+    Returns per-write RTTs and per-lookup traces keyed by issue time,
+    shaped like the analytic :class:`PathResult` fields.
     """
     table = scenario.fresh_table()
     config = scenario.config
@@ -503,50 +447,24 @@ def run_fastpath(
         placer=scenario.make_placer(table),
         tracer=tracer,
     )
-    write_order: Dict[int, int] = {}
-    local_asn: Dict[int, int] = {}
-    write_ops: List = []
-    lookup_ops: List = []
-    for op in scenario.trace:
-        if op.kind in (OP_INSERT, OP_UPDATE):
-            write_order.setdefault(op.guid_value, len(write_order))
-            local_asn[op.guid_value] = op.asn
-            write_ops.append(op)
-        elif op.kind == OP_LOOKUP:
-            lookup_ops.append(op)
-    batch = engine.index_guids(
-        [GUID(value) for value in write_order],
-        [local_asn[value] for value in write_order],
+    ops = [
+        op for op in scenario.trace if op.kind in (OP_INSERT, OP_UPDATE, OP_LOOKUP)
+    ]
+    stream = LookupStream.from_ops(
+        (op.kind == OP_LOOKUP, op.guid_value, op.asn, op.at) for op in ops
     )
-    w_rtts = engine.write_rtts(
+    batch = engine.index_guids(stream.guids, stream.local_asns)
+    write_rtts = engine.write_rtts(batch, *stream.writes.T)
+    engine.lookup_batch(
         batch,
-        np.asarray([write_order[op.guid_value] for op in write_ops], dtype=np.int64),
-        np.asarray([op.asn for op in write_ops], dtype=np.int64),
+        stream.guid_idx,
+        stream.sources,
+        availability=scenario.availability,
+        issued_at=stream.issued_at,
     )
-    write_rtts = {op.at: float(rtt) for op, rtt in zip(write_ops, w_rtts)}
-    lookups: Dict[float, LookupOutcome] = {}
-    if lookup_ops:
-        result = engine.lookup_batch(
-            batch,
-            np.asarray(
-                [write_order[op.guid_value] for op in lookup_ops], dtype=np.int64
-            ),
-            np.asarray([op.asn for op in lookup_ops], dtype=np.int64),
-            availability=scenario.availability,
-            issued_at=np.asarray([op.at for op in lookup_ops], dtype=np.float64),
-        )
-        for i, op in enumerate(lookup_ops):
-            success = bool(result.success[i])
-            lookups[op.at] = LookupOutcome(
-                success=success,
-                served_by=int(result.served_by[i]) if success else None,
-                used_local=bool(result.used_local[i]),
-                attempts=int(result.attempts[i]),
-                rtt_ms=float(result.rtt_ms[i]),
-            )
+    write_times = [op.at for op in ops if op.kind != OP_LOOKUP]
     return (
-        lookups,
-        write_rtts,
+        dict(zip(write_times, write_rtts.tolist())),
         {trace.issued_at: trace for trace in tracer.traces},
     )
 
@@ -554,55 +472,45 @@ def run_fastpath(
 def _diff_fastpath(
     scenario: Scenario, analytic: PathResult, ops_by_time: Dict[float, object]
 ) -> Tuple[List[Mismatch], int]:
-    """Fastpath lane: batched engine vs the analytic oracle."""
+    """Fastpath lane: batched engine vs the analytic oracle, exactly.
+
+    Each lookup's canonical JSONL trace line must equal the analytic
+    one byte for byte, and each write RTT must be equal under ``==``.
+    """
     seed = scenario.config.seed
-    fp_lookups, fp_writes, fp_traces = run_fastpath(scenario)
+    fp_writes, fp_traces = run_fastpath(scenario)
     mismatches: List[Mismatch] = []
     for at in sorted(analytic.lookups):
-        op = ops_by_time[at]
-        subject = f"guid={op.guid_value:#x} querier={op.asn} t={at:g}"
-        ours = analytic.lookups[at]
-        theirs = fp_lookups.get(at)
-        if theirs is None:
-            mismatches.append(
-                Mismatch(
-                    seed,
-                    KIND_FASTPATH_SUCCESS,
-                    subject,
-                    analytic=f"success={ours.success}",
-                    simulated="no record (lookup missing from batch)",
-                    detail=_trace_pair(analytic.traces.get(at), None),
-                )
-            )
+        ours = analytic.traces.get(at)
+        theirs = fp_traces.get(at)
+        if None not in (ours, theirs) and dumps_trace(ours) == dumps_trace(theirs):
             continue
-        mismatches.extend(
-            _diff_lookup(
+        op = ops_by_time[at]
+        mismatches.append(
+            Mismatch(
                 seed,
-                subject,
-                ours,
-                theirs,
-                kinds=_FASTPATH_LOOKUP_KINDS,
-                trace_detail=_trace_pair(
-                    analytic.traces.get(at), fp_traces.get(at)
-                ),
+                KIND_FASTPATH_TRACE,
+                f"guid={op.guid_value:#x} querier={op.asn} t={at:g}",
+                "no trace" if ours is None else f"rtt={ours.rtt_ms!r}",
+                "no trace" if theirs is None else f"rtt={theirs.rtt_ms!r}",
+                detail=_trace_pair(ours, theirs),
             )
         )
     for at in sorted(analytic.write_rtts):
-        op = ops_by_time[at]
-        subject = f"guid={op.guid_value:#x} source={op.asn} t={at:g}"
         ours_rtt = analytic.write_rtts[at]
         theirs_rtt = fp_writes.get(at)
-        if theirs_rtt is None or not _close(ours_rtt, theirs_rtt):
+        if theirs_rtt != ours_rtt:
+            op = ops_by_time[at]
             mismatches.append(
                 Mismatch(
                     seed,
                     KIND_FASTPATH_WRITE_RTT,
-                    subject,
-                    f"{ours_rtt:.6f}",
-                    "no record" if theirs_rtt is None else f"{theirs_rtt:.6f}",
+                    f"guid={op.guid_value:#x} source={op.asn} t={at:g}",
+                    repr(ours_rtt),
+                    "no record" if theirs_rtt is None else repr(theirs_rtt),
                 )
             )
-    return mismatches, len(fp_lookups)
+    return mismatches, len(fp_traces)
 
 
 def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
@@ -655,20 +563,16 @@ def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
         subject = f"guid={op.guid_value:#x} source={op.asn} t={at:g}"
         ours_rtt = analytic.write_rtts[at]
         theirs_rtt = simulated.write_rtts.get(at)
-        if theirs_rtt is None:
+        if theirs_rtt is None or not _close(ours_rtt, theirs_rtt):
             mismatches.append(
                 Mismatch(
                     seed,
                     KIND_WRITE_RTT,
                     subject,
                     f"{ours_rtt:.6f}",
-                    "no record (write never completed)",
-                )
-            )
-        elif not _close(ours_rtt, theirs_rtt):
-            mismatches.append(
-                Mismatch(
-                    seed, KIND_WRITE_RTT, subject, f"{ours_rtt:.6f}", f"{theirs_rtt:.6f}"
+                    "no record (write never completed)"
+                    if theirs_rtt is None
+                    else f"{theirs_rtt:.6f}",
                 )
             )
 

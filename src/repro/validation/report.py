@@ -24,12 +24,9 @@ KIND_STORAGE = "storage"
 KIND_TABLE = "table"
 KIND_LPM = "lpm"
 #: Fastpath-lane kinds: the batched engine diffed against the analytic
-#: resolver (its oracle) on the same scenario.
-KIND_FASTPATH_SUCCESS = "fastpath.success"
-KIND_FASTPATH_SERVED_BY = "fastpath.served_by"
-KIND_FASTPATH_USED_LOCAL = "fastpath.used_local"
-KIND_FASTPATH_ATTEMPTS = "fastpath.attempts"
-KIND_FASTPATH_RTT = "fastpath.rtt"
+#: resolver (its oracle) on the same scenario, trace bytes and write
+#: RTTs both exact.
+KIND_FASTPATH_TRACE = "fastpath.trace"
 KIND_FASTPATH_WRITE_RTT = "fastpath.write_rtt"
 
 

@@ -113,8 +113,6 @@ class Workload:
         probe=None,
         max_retry_rounds: int = 20,
         group_by_source: bool = True,
-        engine: str = "scalar",
-        n_jobs: int = 1,
     ) -> List[float]:
         """Execute the stream on an instant-mode
         :class:`~repro.core.resolver.DMapResolver`; returns lookup RTTs.
@@ -135,21 +133,7 @@ class Workload:
         each source's routing row is computed once instead of being evicted
         and recomputed, which is what makes the paper-scale run (26k ASs,
         10^6 lookups) tractable.
-
-        ``engine="fastpath"`` executes the lookups through the batched
-        :class:`~repro.fastpath.engine.FastpathEngine` built from the
-        resolver's configuration (``n_jobs > 1`` additionally shards
-        source-AS groups across worker processes).  Per-query RTTs are
-        bit-identical to the scalar walk; the returned list is in event
-        order rather than grouped order, and the resolver's stores are
-        *not* populated (the engine models the converged post-write
-        state).  Probes and write-after-lookup streams need the scalar
-        oracle and are rejected.
         """
-        if engine == "fastpath":
-            return self._run_fastpath(resolver, probe, n_jobs)
-        if engine != "scalar":
-            raise WorkloadError(f"unknown engine {engine!r}")
         events = self.events
         has_updates = any(e.kind is EventKind.UPDATE for e in events)
         if group_by_source and not has_updates:
@@ -190,52 +174,6 @@ class Workload:
                 )
                 op(event.guid, [locator], event.source_asn, time=event.time_ms)
         return rtts
-
-    def _run_fastpath(self, resolver, probe, n_jobs: int) -> List[float]:
-        """Batched-engine execution of an insert-then-lookup stream."""
-        from ..fastpath import FastpathEngine, FastpathUnsupportedError
-
-        if probe is not None:
-            raise FastpathUnsupportedError(
-                "availability probes need the scalar resolver walk"
-            )
-        # The engine computes against the converged post-write state, so
-        # every write must precede every lookup (the generator's streams
-        # do; hand-built interleaved streams are rejected).
-        write_order: Dict[GUID, int] = {}
-        local_asn: Dict[GUID, int] = {}
-        lookup_guids: List[int] = []
-        lookup_sources: List[int] = []
-        lookup_times: List[float] = []
-        for event in self.events:
-            if event.kind is EventKind.LOOKUP:
-                idx = write_order.get(event.guid)
-                if idx is None:
-                    raise FastpathUnsupportedError(
-                        f"lookup of never-written GUID {event.guid}"
-                    )
-                lookup_guids.append(idx)
-                lookup_sources.append(event.source_asn)
-                lookup_times.append(event.time_ms)
-            else:
-                if lookup_guids:
-                    raise FastpathUnsupportedError(
-                        "writes interleaved with lookups need the scalar resolver"
-                    )
-                write_order.setdefault(event.guid, len(write_order))
-                local_asn[event.guid] = event.source_asn
-        engine = FastpathEngine.from_resolver(resolver)
-        batch = engine.index_guids(
-            list(write_order), [local_asn[g] for g in write_order]
-        )
-        result = engine.lookup_batch(
-            batch,
-            np.asarray(lookup_guids, dtype=np.int64),
-            np.asarray(lookup_sources, dtype=np.int64),
-            n_jobs=n_jobs,
-            issued_at=np.asarray(lookup_times, dtype=np.float64),
-        )
-        return result.rtt_ms.tolist()
 
 
 class WorkloadGenerator:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import __main__ as cli
-from repro.experiments import common
+from repro.experiments import common, fig4_response_time
 from repro.experiments.baselines_compare import run_baseline_comparison
 from repro.experiments.common import Environment, SCALES, Scale, resolve_scale
 from repro.experiments.fig4_response_time import run_fig4
@@ -88,7 +88,7 @@ class TestFig4Shape:
             environment=env,
             workload_override=tiny,
             k_values=(3,),
-            use_simulation=True,
+            engine="simulation",
         )
         np.testing.assert_allclose(
             np.sort(instant.rtts_by_k[3]),
@@ -124,6 +124,36 @@ class TestFig4Shape:
         )
         assert hops.rtts_by_k[5].mean() >= latency.rtts_by_k[5].mean() - 1e-9
         assert hops.rtts_by_k[5].mean() < 3 * latency.rtts_by_k[5].mean()
+
+
+class TestFig4Engines:
+    """``run_fig4`` is the one place that picks a Fig. 4 engine."""
+
+    @pytest.fixture
+    def no_environment(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment was started")
+
+        monkeypatch.setattr(fig4_response_time, "get_environment", refuse)
+
+    def test_unknown_engine_rejected(self, no_environment):
+        with pytest.raises(ConfigurationError):
+            run_fig4("small", engine="quantum")
+
+    @pytest.mark.parametrize("engine", ["scalar", "simulation"])
+    def test_jobs_need_the_fastpath(self, no_environment, engine):
+        with pytest.raises(ConfigurationError):
+            run_fig4("small", engine=engine, n_jobs=2)
+
+    def test_fastpath_renders_like_scalar(self, env):
+        tiny = WorkloadConfig(n_guids=60, n_lookups=300, seed=2)
+        renders = {
+            engine: run_fig4(
+                environment=env, workload_override=tiny, engine=engine
+            ).render()
+            for engine in ("scalar", "fastpath")
+        }
+        assert renders["scalar"] == renders["fastpath"]
 
 
 class TestTable1:
@@ -232,6 +262,8 @@ class TestCli:
             ["fig6", "--jobs", "2"],
             ["rehash", "--engine", "scalar"],
             ["fig6", "--trace", "out.jsonl"],
+            ["fig4", "--jobs", "2"],
+            ["fig4", "--engine", "scalar", "--jobs", "2"],
         ],
     )
     def test_bad_flag_combinations_exit(self, argv, no_substrate, capsys):

@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError, LookupFailedError
 from repro.fastpath import (
     FastpathEngine,
     FastpathUnsupportedError,
+    LookupStream,
     batch_resolutions,
     resolve_batch,
 )
@@ -35,7 +36,8 @@ from repro.hashing.hashers import FastHasher, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
 from repro.obs import CollectingTracer
 from repro.obs.export import dumps_traces
-from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+from repro.sim.failures import FailureModel
+from repro.workload.generator import EventKind, WorkloadConfig, WorkloadGenerator
 
 N_GUIDS = 40
 N_LOOKUPS = 150
@@ -74,7 +76,13 @@ def _deploy(base_table, router, asns, *, k=5, policy="latency", local=True,
         resolver.update(guids[i], [NetworkAddress(int(rng.integers(0, 2**32)))], src)
         local_asn[guids[i]] = src
 
-    engine = FastpathEngine.from_resolver(resolver)
+    engine = FastpathEngine(
+        base_table,
+        router,
+        selection_policy=policy,
+        local_replica=local,
+        placer=resolver.placer,
+    )
     batch = engine.index_guids(guids, [local_asn[g] for g in guids])
     guid_idx = rng.integers(0, N_GUIDS, size=N_LOOKUPS)
     sources = rng.choice(asns, size=N_LOOKUPS)
@@ -134,7 +142,7 @@ class TestFailureFreeEquivalence:
 
     def test_write_rtts_match_resolver(self, base_table, router, asns, rng):
         resolver = DMapResolver(base_table, router, k=5)
-        engine = FastpathEngine.from_resolver(resolver)
+        engine = FastpathEngine(base_table, router, k=5)
         values = rng.integers(0, np.iinfo(np.uint64).max, size=30, dtype=np.uint64)
         guids = [GUID(int(v)) for v in values]
         sources = rng.choice(asns, size=30)
@@ -168,6 +176,16 @@ class _Model:
         return asn in self._down
 
 
+class _Always(FailureModel):
+    """Every global replica answers with one fixed outcome."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def lookup_outcome(self, asn, guid):
+        return self.outcome
+
+
 class TestAvailabilityEquivalence:
     def test_mixed_outcomes(self, base_table, router, asns):
         resolver, engine, batch, gidx, srcs, guids = _deploy(
@@ -195,11 +213,13 @@ class TestAvailabilityEquivalence:
         resolver, engine, batch, gidx, srcs, guids = _deploy(
             base_table, router, asns, local=False, seed=606
         )
-        dead = lambda asn, guid: OUTCOME_TIMEOUT  # noqa: E731
+        dead = _Always(OUTCOME_TIMEOUT)
         result = engine.lookup_batch(batch, gidx, srcs, availability=dead)
         assert not result.success.any()
         assert (result.served_by == -1).all()
-        _assert_lookup_parity(resolver, result, guids, gidx, srcs, probe=dead)
+        _assert_lookup_parity(
+            resolver, result, guids, gidx, srcs, probe=dead.lookup_outcome
+        )
 
     def test_local_fallback_after_failed_walk(self, base_table, router, asns):
         resolver, engine, batch, gidx, srcs, guids = _deploy(
@@ -209,22 +229,12 @@ class TestAvailabilityEquivalence:
         # the §III-C fallback branch is guaranteed to be exercised.
         srcs = srcs.copy()
         srcs[::2] = batch.local_asns[gidx[::2]]
-        missing = lambda asn, guid: OUTCOME_MISSING  # noqa: E731
+        missing = _Always(OUTCOME_MISSING)
         result = engine.lookup_batch(batch, gidx, srcs, availability=missing)
-        _assert_lookup_parity(resolver, result, guids, gidx, srcs, probe=missing)
+        _assert_lookup_parity(
+            resolver, result, guids, gidx, srcs, probe=missing.lookup_outcome
+        )
         assert result.used_local.any()
-
-    def test_bare_probe_is_adapted(self, base_table, router, asns):
-        _, engine, batch, gidx, srcs, _ = _deploy(
-            base_table, router, asns, seed=808
-        )
-        model = _Model()
-        as_model = engine.lookup_batch(batch, gidx, srcs, availability=model)
-        as_probe = engine.lookup_batch(
-            batch, gidx, srcs, availability=model.lookup_outcome
-        )
-        assert np.array_equal(as_model.rtt_ms, as_probe.rtt_ms)
-        assert np.array_equal(as_model.attempts, as_probe.attempts)
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +453,39 @@ class TestPlacementTracksTable:
 
 
 # ----------------------------------------------------------------------
+# Op-stream adapter
+# ----------------------------------------------------------------------
+class TestLookupStream:
+    def test_first_write_order_and_last_write_local(self):
+        ops = [
+            (False, "b", 10, 0.0),
+            (False, "a", 11, 1.0),
+            (False, "b", 12, 2.0),  # update: b's local copy moves to 12
+            (True, "a", 20, 3.0),
+            (True, "b", 21, 4.0),
+            (True, "a", 22, 5.0),
+        ]
+        stream = LookupStream.from_ops(iter(ops))
+        assert stream.guids == ["b", "a"]
+        assert stream.local_asns.tolist() == [12, 11]
+        assert stream.writes.tolist() == [[0, 10], [1, 11], [0, 12]]
+        assert stream.guid_idx.tolist() == [1, 0, 1]
+        assert stream.sources.tolist() == [20, 21, 22]
+        assert stream.issued_at.tolist() == [3.0, 4.0, 5.0]
+        assert stream.guid_idx.dtype == np.int64
+        assert stream.issued_at.dtype == np.float64
+
+    def test_lookup_of_never_written_guid_rejected(self):
+        with pytest.raises(FastpathUnsupportedError, match="never-written"):
+            LookupStream.from_ops([(False, "a", 1, 0.0), (True, "b", 2, 1.0)])
+
+    def test_write_after_first_lookup_rejected(self):
+        ops = [(False, "a", 1, 0.0), (True, "a", 2, 1.0), (False, "a", 3, 2.0)]
+        with pytest.raises(FastpathUnsupportedError, match="interleaved"):
+            LookupStream.from_ops(ops)
+
+
+# ----------------------------------------------------------------------
 # Workload integration
 # ----------------------------------------------------------------------
 class TestWorkloadEngine:
@@ -455,27 +498,14 @@ class TestWorkloadEngine:
         scalar = workload.run_through_resolver(
             DMapResolver(base_table, router, k=5), base_table
         )
-        fast = workload.run_through_resolver(
-            DMapResolver(base_table, router, k=5), base_table, engine="fastpath"
+        stream = LookupStream.from_ops(
+            (e.kind is EventKind.LOOKUP, e.guid, e.source_asn, e.time_ms)
+            for e in workload.events
         )
+        engine = FastpathEngine(base_table, router, k=5)
+        batch = engine.index_guids(stream.guids, stream.local_asns)
+        fast = engine.lookup_batch(batch, stream.guid_idx, stream.sources)
         # Scalar returns grouped order, fastpath event order: compare as
         # sorted sequences (both exact, no tolerance).
-        assert sorted(fast) == sorted(scalar)
+        assert sorted(fast.rtt_ms.tolist()) == sorted(scalar)
         assert len(fast) == workload.config.n_lookups
-
-    def test_fastpath_rejects_probe(self, base_table, router, workload):
-        with pytest.raises(FastpathUnsupportedError):
-            workload.run_through_resolver(
-                DMapResolver(base_table, router),
-                base_table,
-                probe=lambda asn, guid: OUTCOME_HIT,
-                engine="fastpath",
-            )
-
-    def test_unknown_engine_rejected(self, base_table, router, workload):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            workload.run_through_resolver(
-                DMapResolver(base_table, router), base_table, engine="quantum"
-            )

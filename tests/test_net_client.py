@@ -9,6 +9,7 @@ import pytest
 from repro.errors import LookupFailedError, WriteFailedError
 from repro.net.client import AttemptPlan, ClientConfig, attempt_schedule
 from repro.net.cluster import ClusterConfig, LocalCluster
+from repro.net.loadgen import LoadgenConfig, run_loadgen
 from repro.obs.trace import OUTCOME_HIT, OUTCOME_TIMEOUT, CollectingTracer
 
 #: Short adaptive-timeout floor (virtual ms) so fault scenarios that
@@ -238,3 +239,36 @@ class TestDeadReplicas:
         assert (
             cluster.registry.counter("net.client.write_failures").total() == 1
         )
+
+
+class TestLoadgenRates:
+    def test_goodput_excludes_failed_lookups(self):
+        cluster = LocalCluster.build(_config())
+        victim = cluster.servable[0].guid
+
+        async def scenario():
+            await cluster.start()
+            try:
+                # Kill every replica of the first lookup's GUID: each of
+                # its lookups in the run fails, the rest succeed.
+                for asn in sorted(
+                    {int(a) for a in cluster.resolver.placer.hosting_asns(victim)}
+                ):
+                    cluster.kill_node(asn)
+                return await run_loadgen(
+                    cluster,
+                    LoadgenConfig(qps=400.0, n_queries=40),
+                    client_config=FAST_CLIENT,
+                )
+            finally:
+                await cluster.stop()
+
+        report = asyncio.run(scenario())
+        assert 0 < report.n_failed < report.n_queries
+        assert report.goodput_qps == report.n_success / report.wall_s
+        assert report.completed_qps == report.n_queries / report.wall_s
+        assert report.goodput_qps < report.completed_qps
+        payload = report.as_dict()
+        assert payload["goodput_qps"] == report.goodput_qps
+        assert payload["completed_qps"] == report.completed_qps
+        assert "achieved_qps" not in payload

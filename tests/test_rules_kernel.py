@@ -8,7 +8,10 @@ execute one protocol.  Its decisions live in single functions —
 :func:`repro.obs.trace.build_query_trace` and Algorithm 1's placement
 chain (:meth:`repro.hashing.rehash.GuidPlacer.resolve_one` and its
 vectorized form :func:`repro.fastpath.placement.resolve_batch`) — and
-these tests keep the engines from growing private copies again.
+these tests keep the engines from growing private copies again.  The
+fastpath engine is fed one way too: through
+:meth:`repro.fastpath.engine.LookupStream.from_ops`, from fig4 and the
+differential harness only.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import pytest
 
 from repro.core.guid import GUID, NetworkAddress
 from repro.core.resolver import (
-    OUTCOME_HIT,
     DMapResolver,
     adaptive_timeout_ms,
     race_verdict,
@@ -30,6 +32,7 @@ from repro.core.resolver import (
 from repro.fastpath import FastpathEngine
 from repro.obs import CollectingTracer
 from repro.obs.export import dumps_traces
+from repro.sim.failures import FailureModel
 
 SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
 
@@ -118,6 +121,36 @@ class TestOneDefinition:
             ("fastpath/engine.py", "_lookup_block"),
         ]
 
+    def test_batch_lookups_are_driven_from_two_places(self):
+        # fig4 and the differential harness are the engine's only
+        # callers; both feed it through ``LookupStream.from_ops``.  The
+        # other sites call the interval index's own (LPM) lookup_batch.
+        sites = _sites(lambda call: _call_name(call) == "lookup_batch")
+        lpm_sites = [
+            ("bgp/interval_index.py", "is_announced_batch"),
+            ("bgp/interval_index.py", "lookup_one"),
+            ("fastpath/placement.py", "resolve_batch"),
+        ]
+        assert sorted(sites) == sorted(
+            lpm_sites
+            + [
+                ("experiments/fig4_response_time.py", "run_fig4"),
+                ("validation/differ.py", "run_fastpath"),
+            ]
+        )
+
+    def test_workload_does_not_import_the_fastpath(self):
+        # The workload module describes streams; engines consume them.
+        imported = []
+        for path in sorted((SRC_REPRO / "workload").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    imported.append(node.module or "")
+                elif isinstance(node, ast.Import):
+                    imported.extend(alias.name for alias in node.names)
+        assert imported
+        assert not [name for name in imported if "fastpath" in name.split(".")]
+
     def test_adaptive_timeout_scalar_and_array(self):
         scalar = adaptive_timeout_ms(1000.0, 700.0)
         assert type(scalar) is float and scalar == 1400.0
@@ -138,8 +171,7 @@ def _fastpath_traces(base_table, router, asns, k, local, availability, seed):
     for g, src in zip(guids, write_src):
         resolver.insert(g, [NetworkAddress(1)], src)
     tracer = CollectingTracer()
-    engine = FastpathEngine.from_resolver(resolver)
-    engine.tracer = tracer
+    engine = FastpathEngine(base_table, router, k=k, local_replica=local, tracer=tracer)
     batch = engine.index_guids(guids, write_src if local else None)
     gidx = rng.integers(0, len(guids), size=150)
     # Query from the writers' ASs too, so local races are won and lost.
@@ -160,11 +192,10 @@ class TestNoModelIsAllHitModel:
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("local", [True, False])
     def test_byte_identical_jsonl(self, base_table, router, asns, k, local):
-        def all_hit(asn, guid):
-            return OUTCOME_HIT
-
         no_model = _fastpath_traces(base_table, router, asns, k, local, None, 40 + k)
-        modelled = _fastpath_traces(base_table, router, asns, k, local, all_hit, 40 + k)
+        modelled = _fastpath_traces(
+            base_table, router, asns, k, local, FailureModel(), 40 + k
+        )
         assert no_model == modelled
         if local:
             assert '"used_local":true' in no_model

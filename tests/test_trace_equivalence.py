@@ -72,9 +72,11 @@ def _run_both(base_table, router, asns, *, k=5, local=True, placer=None,
         resolver.insert(g, [NetworkAddress(int(rng.integers(0, 2**32)))], int(src))
         local_asn[g] = int(src)
 
-    engine = FastpathEngine.from_resolver(resolver)
     fast_tracer = CollectingTracer()
-    engine.tracer = fast_tracer
+    engine = FastpathEngine(
+        base_table, router, local_replica=local, placer=resolver.placer,
+        tracer=fast_tracer,
+    )
     batch = engine.index_guids(guids, [local_asn[g] for g in guids])
     gidx = rng.integers(0, N_GUIDS, size=N_LOOKUPS)
     srcs = rng.choice(asns, size=N_LOOKUPS)
@@ -194,7 +196,7 @@ class TestTraceFileRoundTrip:
         guids = [GUID(int(v)) for v in rng.integers(0, 2**64, size=8, dtype=np.uint64)]
         for g in guids:
             resolver.insert(g, [NetworkAddress(1)], int(asns[0]))
-        engine = FastpathEngine.from_resolver(resolver)
+        engine = FastpathEngine(base_table, router, k=3, tracer=CollectingTracer())
         batch = engine.index_guids(guids)
         with pytest.raises(FastpathUnsupportedError):
             engine.lookup_batch(

@@ -9,13 +9,23 @@ Reproduce any of them interactively with::
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.validation import diff_scenario, generate_scenario
+from repro.validation import diff_scenario, differ, generate_scenario
 from repro.validation.__main__ import build_report, main
+from repro.validation.differ import LookupOutcome, fastpath_supported
 from repro.validation.report import (
+    KIND_FASTPATH_TRACE,
+    KIND_FASTPATH_WRITE_RTT,
+    KIND_LOOKUP_ATTEMPTS,
     KIND_LOOKUP_LOST,
+    KIND_LOOKUP_RTT,
+    KIND_LOOKUP_SERVED_BY,
+    KIND_LOOKUP_SUCCESS,
+    KIND_LOOKUP_USED_LOCAL,
     KIND_STORAGE,
     Mismatch,
     ValidationReport,
@@ -127,3 +137,124 @@ class TestReport:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["clean"] is False
         assert payload["mismatches"][0]["kind"] == KIND_STORAGE
+
+
+#: A no-churn, latency-policy scenario (K=5, local replicas on) that the
+#: fastpath lane replays.
+FASTPATH_SEED = 11
+
+BASE_OUTCOME = LookupOutcome(
+    success=True, served_by=7, used_local=False, attempts=2, rtt_ms=80.0
+)
+
+
+class TestDesLane:
+    """``_diff_lookup`` reports exactly the field that differs."""
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("success", False, KIND_LOOKUP_SUCCESS),
+            ("served_by", 8, KIND_LOOKUP_SERVED_BY),
+            ("used_local", True, KIND_LOOKUP_USED_LOCAL),
+            ("attempts", 3, KIND_LOOKUP_ATTEMPTS),
+            ("rtt_ms", 80.5, KIND_LOOKUP_RTT),
+        ],
+    )
+    def test_one_field_one_kind(self, field, value, kind):
+        theirs = replace(BASE_OUTCOME, **{field: value})
+        found = differ._diff_lookup(3, "subj", BASE_OUTCOME, theirs, "ctx")
+        assert [(m.kind, m.subject, m.detail) for m in found] == [
+            (kind, "subj", "ctx")
+        ]
+        assert found[0].analytic != found[0].simulated
+
+    def test_success_disagreement_hides_dependent_fields(self):
+        theirs = replace(
+            BASE_OUTCOME, success=False, served_by=None, attempts=5, rtt_ms=1.0
+        )
+        found = differ._diff_lookup(3, "subj", BASE_OUTCOME, theirs)
+        assert [m.kind for m in found] == [KIND_LOOKUP_SUCCESS]
+
+    def test_rtt_accumulation_noise_agrees(self):
+        theirs = replace(BASE_OUTCOME, rtt_ms=80.0 * (1.0 + 1e-12))
+        assert differ._diff_lookup(3, "subj", BASE_OUTCOME, theirs) == []
+
+    def test_lost_lookup(self, monkeypatch):
+        real = differ.run_simulation
+
+        def lose_first_lookup(scenario):
+            result = real(scenario)
+            del result.lookups[min(result.lookups)]
+            return result
+
+        monkeypatch.setattr(differ, "run_simulation", lose_first_lookup)
+        diff = diff_scenario(generate_scenario(FASTPATH_SEED), fastpath=False)
+        assert [m.kind for m in diff.mismatches] == [KIND_LOOKUP_LOST]
+
+
+class TestFastpathLane:
+    """The fastpath lane is exact: trace bytes and write RTTs."""
+
+    @pytest.fixture(scope="class")
+    def replay(self):
+        scenario = generate_scenario(FASTPATH_SEED)
+        assert fastpath_supported(scenario)
+        ops_by_time = {op.at: op for op in scenario.trace}
+        return scenario, differ.run_analytic(scenario), ops_by_time
+
+    def _diff(self, monkeypatch, replay, edit):
+        real = differ.run_fastpath
+
+        def edited(scenario):
+            writes, traces = real(scenario)
+            edit(writes, traces)
+            return writes, traces
+
+        monkeypatch.setattr(differ, "run_fastpath", edited)
+        mismatches, _ = differ._diff_fastpath(*replay)
+        return mismatches
+
+    def test_unedited_replay_is_clean(self, replay):
+        scenario = replay[0]
+        mismatches, lookups = differ._diff_fastpath(*replay)
+        assert mismatches == []
+        assert lookups == scenario.n_lookup_ops
+
+    def test_one_ulp_rtt_nudge_is_a_trace_mismatch(self, monkeypatch, replay):
+        seen = {}
+
+        def nudge(writes, traces):
+            at = min(traces)
+            seen["old"] = traces[at]
+            traces[at] = replace(
+                traces[at], rtt_ms=float(np.nextafter(traces[at].rtt_ms, np.inf))
+            )
+            seen["new"] = traces[at]
+
+        found = self._diff(monkeypatch, replay, nudge)
+        assert [m.kind for m in found] == [KIND_FASTPATH_TRACE]
+        old, new = seen["old"], seen["new"]
+        assert found[0].detail == f"ours[{old.compact()}] theirs[{new.compact()}]"
+        assert found[0].analytic != found[0].simulated
+        # The DES lane's tolerance cannot see a 1-ulp nudge.
+        assert differ._close(old.rtt_ms, new.rtt_ms)
+
+    def test_dropped_trace_is_a_trace_mismatch(self, monkeypatch, replay):
+        seen = {}
+
+        def drop(writes, traces):
+            seen["old"] = traces.pop(min(traces))
+
+        found = self._diff(monkeypatch, replay, drop)
+        assert [m.kind for m in found] == [KIND_FASTPATH_TRACE]
+        assert found[0].simulated == "no trace"
+        assert found[0].detail == f"ours[{seen['old'].compact()}] theirs[-]"
+
+    def test_one_ulp_write_rtt_nudge_is_caught(self, monkeypatch, replay):
+        def nudge(writes, traces):
+            at = min(writes)
+            writes[at] = float(np.nextafter(writes[at], np.inf))
+
+        found = self._diff(monkeypatch, replay, nudge)
+        assert [m.kind for m in found] == [KIND_FASTPATH_WRITE_RTT]
